@@ -33,7 +33,7 @@ def main() -> int:
         problem=problem, grid=grid, rule=rule,
         window_length=2.0, t_final=args.t_final, threshold=1e-4,
     )
-    archive, timings = driver.run_empirical_chaos(config)
+    archive, timings = driver.run_schedule(config)
     times, ms = archive.statistic_series(0)
     cli.write_series(os.path.join(args.output_dir, "empirical_mean_square.csv"),
                      times, ms)

@@ -9,7 +9,6 @@ is split into well-conditioned leading blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +22,6 @@ __all__ = [
     "spatial_pair",
     "block_decompose",
     "evolve_basis",
-    "run_algorithm_1",
 ]
 
 DEFAULT_CONDITION_LIMIT = 1e12
@@ -106,8 +104,7 @@ def _block_propagators(pair: SpatialGalerkinPair, blocks) -> list[tuple[int, int
     return out
 
 
-def evolve_basis(basis: BasisSet, pair: SpatialGalerkinPair, dt: float,
-                 blocks=None, cond_limit: float = DEFAULT_CONDITION_LIMIT) -> BasisSet:
+def evolve_basis(basis: BasisSet, pair: SpatialGalerkinPair, dt: float) -> BasisSet:
     """Advance the basis by the exponential propagator exp(xi * G * dt) per
     node, with G = gram^{-1} * advect computed blockwise.
 
@@ -120,16 +117,10 @@ def evolve_basis(basis: BasisSet, pair: SpatialGalerkinPair, dt: float,
         raise ValueError("pair size does not match basis size")
     if dt == 0.0:
         return basis
-    if blocks is None:
-        blocks = block_decompose(pair, cond_limit)
     values = basis.values.copy()
     nodes = basis.rule.nodes
-    for a, b, generator in _block_propagators(pair, blocks):
-        segment = values[:, a:b]
-        evolved = np.empty_like(segment)
-        propagated = _apply_exponentials(generator, nodes * dt, segment)
-        evolved[:] = propagated
-        values[:, a:b] = evolved
+    for a, b, generator in _block_propagators(pair, block_decompose(pair)):
+        values[:, a:b] = _apply_exponentials(generator, nodes * dt, values[:, a:b])
     if not np.all(np.isfinite(values)):
         raise OverflowError("matrix exponential overflowed during basis evolution")
     window = TimeWindow(basis.window.start + dt, basis.window.end + dt)
@@ -161,30 +152,3 @@ def _apply_exponentials(generator: np.ndarray, scales: np.ndarray,
     for l, scale in enumerate(scales):
         out[l] = segment[l] @ scipy.linalg.expm(scale * generator).T
     return out
-
-
-def run_algorithm_1(problem, grid, rule, schedule: Callable[[int], str],
-                    window_length: float, t_final: float, threshold: float = 1e-4,
-                    basis_cap: int | None = None, step: float | None = None,
-                    outputs_per_window: int = 11, evolve_substep: float = 0.1):
-    """Empirical chaos with scheduled basis evolution.
-
-    ``schedule`` maps the window index to "resample", "evolve", or "hold";
-    window 0 always resamples. Returns (archive, stage timings).
-    """
-    from .driver import EmpiricalConfig, run_schedule
-
-    config = EmpiricalConfig(
-        problem=problem,
-        grid=grid,
-        rule=rule,
-        window_length=window_length,
-        t_final=t_final,
-        threshold=threshold,
-        basis_cap=basis_cap,
-        step=step,
-        outputs_per_window=outputs_per_window,
-        evolve_substep=evolve_substep,
-        schedule=schedule,
-    )
-    return run_schedule(config)

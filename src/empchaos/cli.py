@@ -4,8 +4,9 @@ Exposes every solver behind one command-line interface, writes plot-ready CSV
 and JSON artifacts, times the pipeline stages, runs wall-clock scaling studies
 over a set of final times, and compares statistic time series between runs.
 
-Exit codes: 0 success, 1 validation error, 2 solver divergence, 3 comparison
-failure.
+Exit codes: 0 success, 1 invalid configuration or input the solver rejects
+(such as a step that breaks the CFL bound), 2 solver divergence or an
+ill-conditioned basis, 3 comparison failure.
 """
 
 from __future__ import annotations
@@ -199,19 +200,6 @@ def _read_series(path: str):
     return times, values
 
 
-def _output_times(config: ExperimentConfig) -> np.ndarray:
-    """The output-time grid the windowed solver would produce (deduplicated)."""
-    cadence_count = config.outputs_per_window
-    length = config.resolved_window_length
-    times = [config.t_start]
-    t = config.t_start
-    while t < config.t_final - 1e-12:
-        end = min(t + length, config.t_final)
-        times.extend(np.linspace(t, end, cadence_count)[1:])
-        t = end
-    return np.asarray(times)
-
-
 def _empirical_artifacts(config: ExperimentConfig, archive, out: str) -> list[str]:
     files = []
     times, ms = archive.statistic_series(config.x_index, "mean_square")
@@ -245,7 +233,32 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
     """Run the configured solver, write its artifacts, return (files, timings)."""
     problem = _PROBLEMS[config.problem]()
     grid = pde_core.SpatialGrid(config.grid_size)
-    times = _output_times(config)
+    rule = random_space.trapezoid_rule(
+        random_space.chebyshev_nodes(config.resolved_node_count))
+    schedule = (_SCHEDULES[config.schedule] if config.solver == "empirical-evolve"
+                else driver.always_resample)
+    emp_config = driver.EmpiricalConfig(
+        problem=problem, grid=grid, rule=rule,
+        window_length=config.resolved_window_length,
+        t_final=config.t_final, t_start=config.t_start,
+        threshold=config.threshold, basis_cap=config.basis_cap,
+        step=config.step, outputs_per_window=config.outputs_per_window,
+        schedule=schedule,
+    )
+
+    if config.solver in ("empirical", "empirical-evolve"):
+        archive, timings = driver.run_schedule(emp_config)
+        stage_seconds = timings.as_dict()
+        tic = time.perf_counter()
+        files = _empirical_artifacts(config, archive, out)
+        stage_seconds["export"] = time.perf_counter() - tic
+        return files, stage_seconds
+
+    # the reference solvers report at the empirical solver's output times
+    plan = driver.window_plan(emp_config)
+    times = np.array([plan[0][1].start]
+                     + [t for _, window in plan for t in window.output_times[1:]])
+    window = pde_core.TimeWindow(config.t_start, config.t_final, tuple(times))
 
     if config.solver == "exact":
         tic = time.perf_counter()
@@ -258,7 +271,6 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
         return ["mean_square.csv", "mean.csv"], {"evaluation": seconds}
 
     if config.solver == "gpc":
-        window = pde_core.TimeWindow(config.t_start, config.t_final, tuple(times))
         rule = gpc.default_rule(config.resolved_node_count)
         step = config.step if config.step is not None else pde_core.default_step(grid)
         tic = time.perf_counter()
@@ -274,42 +286,21 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
         return (["mean_square.csv", "mean.csv"],
                 {"propagation": propagation, "export": export})
 
-    if config.solver == "mc":
-        window = pde_core.TimeWindow(config.t_start, config.t_final, tuple(times))
-        mc_config = montecarlo.McConfig(
-            problem=problem, grid=grid, window=window,
-            sample_count=config.sample_count, seed=config.seed, step=config.step,
-        )
-        tic = time.perf_counter()
-        result = montecarlo.mc_statistics(mc_config)
-        seconds = time.perf_counter() - tic
-        tic = time.perf_counter()
-        t, ms, ms_err = result.series(config.x_index, "mean_square")
-        write_series(os.path.join(out, "mean_square.csv"), t, ms, ms_err)
-        t, mean, mean_err = result.series(config.x_index, "mean")
-        write_series(os.path.join(out, "mean.csv"), t, mean, mean_err)
-        export = time.perf_counter() - tic
-        return ["mean_square.csv", "mean.csv"], {"sampling": seconds, "export": export}
-
-    # empirical and empirical-evolve
-    rule = random_space.trapezoid_rule(
-        random_space.chebyshev_nodes(config.resolved_node_count))
-    schedule = (driver.always_resample if config.solver == "empirical"
-                else _SCHEDULES[config.schedule])
-    emp_config = driver.EmpiricalConfig(
-        problem=problem, grid=grid, rule=rule,
-        window_length=config.resolved_window_length,
-        t_final=config.t_final, t_start=config.t_start,
-        threshold=config.threshold, basis_cap=config.basis_cap,
-        step=config.step, outputs_per_window=config.outputs_per_window,
-        schedule=schedule,
+    # mc
+    mc_config = montecarlo.McConfig(
+        problem=problem, grid=grid, window=window,
+        sample_count=config.sample_count, seed=config.seed, step=config.step,
     )
-    archive, timings = driver.run_schedule(emp_config)
-    stage_seconds = timings.as_dict()
     tic = time.perf_counter()
-    files = _empirical_artifacts(config, archive, out)
-    stage_seconds["export"] = time.perf_counter() - tic
-    return files, stage_seconds
+    result = montecarlo.mc_statistics(mc_config)
+    seconds = time.perf_counter() - tic
+    tic = time.perf_counter()
+    t, ms, ms_err = result.series(config.x_index, "mean_square")
+    write_series(os.path.join(out, "mean_square.csv"), t, ms, ms_err)
+    t, mean, mean_err = result.series(config.x_index, "mean")
+    write_series(os.path.join(out, "mean.csv"), t, mean, mean_err)
+    export = time.perf_counter() - tic
+    return ["mean_square.csv", "mean.csv"], {"sampling": seconds, "export": export}
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -328,14 +319,17 @@ def run_experiment(config: ExperimentConfig) -> int:
     tic = time.perf_counter()
     try:
         files, stage_seconds = _solve(config, out)
-    except (IntegrationDiverged, IllConditionedBasis) as exc:
-        manifest["status"] = "solver-error"
+    except (IntegrationDiverged, IllConditionedBasis, ValueError) as exc:
+        # a ValueError is a setting the solver rejects, such as a step that
+        # breaks the CFL bound or misses the output times
+        invalid = isinstance(exc, ValueError)
+        manifest["status"] = "invalid-input" if invalid else "solver-error"
         manifest["error"] = str(exc)
         manifest["total_seconds"] = time.perf_counter() - tic
         _write_text(os.path.join(out, "manifest.json"),
                     json.dumps(manifest, indent=2) + "\n")
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_VALIDATION if invalid else EXIT_DIVERGED
     manifest["total_seconds"] = time.perf_counter() - tic
     manifest["files"] = files
     manifest["stage_seconds"] = stage_seconds
@@ -413,7 +407,7 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
             step=step, outputs_per_window=config.outputs_per_window,
         )
         tic = time.perf_counter()
-        archive, _ = driver.run_empirical_chaos(emp_config)
+        archive, _ = driver.run_schedule(emp_config)
         emp_seconds = time.perf_counter() - tic
         row = {
             "t_final": t_final,

@@ -1,14 +1,15 @@
 """Windowed empirical chaos expansion driver.
 
-Runs the sample / POD / change-of-basis / propagate loop over successive time
-windows, optionally replacing the sampling step on selected windows by the
-matrix-exponential basis evolution, and records per-stage wall-clock timings.
+Plans the time windows first, then runs one loop over them: each window
+chooses its stochastic basis (resampled and truncated by POD, advanced by the
+matrix-exponential basis evolution, or held), moves the coefficients onto a
+new basis, and propagates. Per-stage wall-clock timings are recorded.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,7 @@ __all__ = [
     "EmpiricalConfig",
     "always_resample",
     "alternating_schedule",
-    "run_empirical_chaos",
+    "window_plan",
     "run_schedule",
 ]
 
@@ -58,14 +59,7 @@ class StageTimings:
         setattr(self, stage, getattr(self, stage) + seconds)
 
     def as_dict(self) -> dict:
-        return {
-            "sampling": self.sampling,
-            "svd": self.svd,
-            "change_of_basis": self.change_of_basis,
-            "rhs_assembly": self.rhs_assembly,
-            "propagation": self.propagation,
-            "basis_evolution": self.basis_evolution,
-        }
+        return asdict(self)
 
     @property
     def total(self) -> float:
@@ -112,53 +106,65 @@ def _snap_step(cadence: float, step: float) -> float:
     return cadence / int(np.ceil(cadence / step - 1e-12))
 
 
-def _window_plan(config: EmpiricalConfig) -> list[TimeWindow]:
-    windows = []
-    t = config.t_start
-    while t < config.t_final - 1e-12:
-        end = min(t + config.window_length, config.t_final)
-        windows.append(TimeWindow.with_uniform_outputs(t, end, config.outputs_per_window))
+def _pieces(start: float, stop: float, length: float):
+    """Consecutive (start, end) pieces of [start, stop], each at most ``length`` long."""
+    t = start
+    while t < stop - 1e-12:
+        end = min(t + length, stop)
+        yield t, end
         t = end
-    return windows
 
 
-def run_empirical_chaos(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTimings]:
-    """Plain empirical chaos expansion: resample the basis on every window."""
-    return run_schedule(replace(config, schedule=always_resample))
+def window_plan(config: EmpiricalConfig) -> list[tuple[str, TimeWindow]]:
+    """The (action, window) pairs that ``run_schedule`` solves, in order.
+
+    Window 0 always resamples. An evolve window is split into sub-windows of
+    at most ``evolve_substep``, each with its two endpoints as outputs. An
+    unknown action, or evolve on the reaction problem, is rejected here,
+    before anything is solved.
+    """
+    plan = []
+    windows = _pieces(config.t_start, config.t_final, config.window_length)
+    for index, (start, end) in enumerate(windows):
+        action = config.schedule(index) if index > 0 else RESAMPLE
+        if action not in (RESAMPLE, EVOLVE, HOLD):
+            raise ValueError(f"schedule returned unknown action {action!r}")
+        if action != EVOLVE:
+            plan.append((action, TimeWindow.with_uniform_outputs(
+                start, end, config.outputs_per_window)))
+            continue
+        if config.problem.has_reaction:
+            raise ValueError("basis evolution is only implemented for the wave operator")
+        plan += [(EVOLVE, TimeWindow.with_uniform_outputs(a, b, 2))
+                 for a, b in _pieces(start, end, config.evolve_substep)]
+    return plan
 
 
 def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTimings]:
     """Empirical chaos with a per-window schedule.
 
-    Window 0 always resamples. On ``resample`` windows, trajectories are
-    sampled and the basis recomputed by POD; on ``evolve`` windows the
-    previous basis is advanced by the matrix-exponential operator in
-    sub-steps; on ``hold`` windows the basis is carried over unchanged.
+    Each planned window first chooses its basis: ``resample`` samples
+    trajectories from the current solution and truncates them by POD,
+    ``evolve`` advances the previous basis by the matrix-exponential
+    operator, ``hold`` keeps it. A new basis gets its Galerkin matrices and
+    the coefficients are moved onto it; then the window is propagated.
     """
     timings = StageTimings()
     archive = ExpansionArchive()
     grid, rule, problem = config.grid, config.rule, config.problem
-
     max_speed = float(np.max(np.abs(rule.nodes)))
     base_step = config.step if config.step is not None else default_step(grid, max_speed)
-    windows = _window_plan(config)
 
-    basis = None
-    matrices = None
-    current_field = None
-    u_nodes = None  # solution values at the quadrature nodes, (K, M)
-
-    for index, window in enumerate(windows):
-        cadence = window.length / (config.outputs_per_window - 1)
-        step = _snap_step(cadence, base_step)
-        action = config.schedule(index) if index > 0 else RESAMPLE
-        if action not in (RESAMPLE, EVOLVE, HOLD):
-            raise ValueError(f"schedule returned unknown action {action!r}")
+    basis = matrices = current_field = None
+    for action, window in window_plan(config):
+        step = _snap_step(window.length / (len(window.output_times) - 1), base_step)
 
         if action == RESAMPLE:
-            if u_nodes is None:
+            if current_field is None:
                 u0 = np.asarray(problem.initial_condition(grid.points), dtype=float)
                 u_nodes = np.broadcast_to(u0, (len(rule), grid.point_count)).copy()
+            else:
+                u_nodes = basis.reconstruct(current_field.coefficients)
             tic = time.perf_counter()
             trajectories = solve_ensemble(problem, rule.nodes, u_nodes, window, grid, step)
             timings.add("sampling", time.perf_counter() - tic)
@@ -168,78 +174,33 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             new_basis = truncate_pod(t_matrix, config.threshold, rule, window,
                                      cap=config.basis_cap)
             timings.add("svd", time.perf_counter() - tic)
-
+        elif action == EVOLVE:
             tic = time.perf_counter()
-            new_matrices = assemble_matrices(new_basis)
+            pair = basis_evolution.spatial_pair(current_field, grid)
+            new_basis = basis_evolution.evolve_basis(basis, pair, window.length)
+            timings.add("basis_evolution", time.perf_counter() - tic)
+
+        if action != HOLD:
+            tic = time.perf_counter()
+            matrices = assemble_matrices(new_basis)
             timings.add("rhs_assembly", time.perf_counter() - tic)
 
             tic = time.perf_counter()
             if current_field is None:
                 # deterministic initial data: all node trajectories share u0
-                current_field = project_node_values(u_nodes, new_basis, new_matrices,
+                current_field = project_node_values(u_nodes, new_basis, matrices,
                                                     time_stamp=window.start)
             else:
-                current_field = change_basis(current_field, basis, new_basis, new_matrices)
+                current_field = change_basis(current_field, basis, new_basis, matrices)
             timings.add("change_of_basis", time.perf_counter() - tic)
+            basis = new_basis
 
-            basis, matrices = new_basis, new_matrices
-
-            tic = time.perf_counter()
-            trajectory = propagate_window(problem, current_field, basis, window, grid,
-                                          step, matrices)
-            timings.add("propagation", time.perf_counter() - tic)
-            archive.append(WindowRecord(window=window, basis=basis,
-                                        trajectory=trajectory, matrices=matrices))
-            current_field = trajectory.final
-            u_nodes = basis.reconstruct(current_field.coefficients)
-            continue
-
-        if basis is None:
-            raise ValueError("the first window must resample")
-
-        if action == HOLD:
-            tic = time.perf_counter()
-            trajectory = propagate_window(problem, current_field, basis, window, grid,
-                                          step, matrices)
-            timings.add("propagation", time.perf_counter() - tic)
-            archive.append(WindowRecord(window=window, basis=basis,
-                                        trajectory=trajectory, matrices=matrices))
-            current_field = trajectory.final
-            u_nodes = basis.reconstruct(current_field.coefficients)
-            continue
-
-        # evolve: advance the basis in sub-steps, re-projecting coefficients
-        # after each exponential application
-        if problem.has_reaction:
-            raise ValueError("basis evolution is only implemented for the wave operator")
-        t = window.start
-        while t < window.end - 1e-12:
-            sub_end = min(t + config.evolve_substep, window.end)
-            sub_window = TimeWindow.with_uniform_outputs(t, sub_end, 2)
-            sub_step = _snap_step(sub_window.length, base_step)
-
-            tic = time.perf_counter()
-            pair = basis_evolution.spatial_pair(current_field, grid)
-            new_basis = basis_evolution.evolve_basis(basis, pair, sub_window.length)
-            timings.add("basis_evolution", time.perf_counter() - tic)
-
-            tic = time.perf_counter()
-            new_matrices = assemble_matrices(new_basis)
-            timings.add("rhs_assembly", time.perf_counter() - tic)
-
-            tic = time.perf_counter()
-            current_field = change_basis(current_field, basis, new_basis, new_matrices)
-            timings.add("change_of_basis", time.perf_counter() - tic)
-            basis, matrices = new_basis, new_matrices
-
-            tic = time.perf_counter()
-            trajectory = propagate_window(problem, current_field, basis, sub_window,
-                                          grid, sub_step, matrices)
-            timings.add("propagation", time.perf_counter() - tic)
-            archive.append(WindowRecord(window=sub_window, basis=basis,
-                                        trajectory=trajectory, matrices=matrices))
-            current_field = trajectory.final
-            t = sub_end
-        u_nodes = basis.reconstruct(current_field.coefficients)
+        tic = time.perf_counter()
+        trajectory = propagate_window(problem, current_field, basis, window, grid,
+                                      step, matrices)
+        timings.add("propagation", time.perf_counter() - tic)
+        archive.append(WindowRecord(window=window, basis=basis,
+                                    trajectory=trajectory, matrices=matrices))
+        current_field = trajectory.final
 
     return archive, timings

@@ -16,7 +16,6 @@ import scipy.linalg
 
 from .pde_core import PdeProblem, SpatialGrid, TimeWindow, integrate_ode, spatial_derivative
 from .pod import BasisSet
-from .random_space import QuadratureRule, RandomInterval
 
 __all__ = [
     "IllConditionedBasis",
@@ -30,10 +29,7 @@ __all__ = [
     "project_node_values",
     "project_initial_condition",
     "change_basis",
-    "galerkin_rhs",
     "propagate_window",
-    "mean_square_expectation",
-    "mean",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -55,19 +51,16 @@ class GalerkinMatrices:
     advection: np.ndarray
     condition_number: float
     _factor: tuple = field(repr=False, default=None)
-    _factor_kind: str = field(repr=False, default="cholesky")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._factor_kind == "cholesky":
-            return scipy.linalg.cho_solve(self._factor, rhs)
-        return scipy.linalg.lu_solve(self._factor, rhs)
+        return scipy.linalg.cho_solve(self._factor, rhs)
 
     @property
     def size(self) -> int:
         return self.mass.shape[0]
 
 
-def assemble_matrices(basis: BasisSet, condition_limit: float = CONDITION_LIMIT) -> GalerkinMatrices:
+def assemble_matrices(basis: BasisSet) -> GalerkinMatrices:
     """Quadrature assembly of the Gram (mass) and advection matrices."""
     v = basis.values
     w = basis.rule.weights
@@ -78,21 +71,19 @@ def assemble_matrices(basis: BasisSet, condition_limit: float = CONDITION_LIMIT)
     mass = 0.5 * (mass + mass.T)
     advection = 0.5 * (advection + advection.T)
     cond = float(np.linalg.cond(mass))
-    if not np.isfinite(cond) or cond > condition_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedBasis(f"mass matrix condition number {cond:.3e}")
+    # a weighted Gram matrix that passes the condition gate is positive definite
     try:
         factor = scipy.linalg.cho_factor(mass)
-        kind = "cholesky"
-    except scipy.linalg.LinAlgError:
-        # POD bases give positive definite mass; fall back for indefinite input
-        factor = scipy.linalg.lu_factor(mass)
-        kind = "lu"
+    except scipy.linalg.LinAlgError as exc:
+        raise IllConditionedBasis(
+            f"mass matrix is not positive definite (condition number {cond:.3e})") from exc
     return GalerkinMatrices(
         mass=mass,
         advection=advection,
         condition_number=cond,
         _factor=factor,
-        _factor_kind=kind,
     )
 
 
@@ -112,12 +103,6 @@ class CoefficientField:
             raise ValueError("coefficients must be (basis count, grid size)")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients contain non-finite entries")
-
-
-def _coefficients_of(field_or_array) -> np.ndarray:
-    if isinstance(field_or_array, CoefficientField):
-        return field_or_array.coefficients
-    return np.asarray(field_or_array, dtype=float)
 
 
 def project_function(values_at_nodes: np.ndarray, basis: BasisSet,
@@ -170,20 +155,6 @@ def change_basis(field: CoefficientField, old_basis: BasisSet, new_basis: BasisS
                             basis_id=new_basis.label)
 
 
-def galerkin_rhs(problem: PdeProblem, field, basis: BasisSet,
-                 matrices: GalerkinMatrices, grid: SpatialGrid) -> np.ndarray:
-    """Time derivative of the coefficients: mass-solve of A*u_x (+ projected
-    reaction for the advection-reaction problem)."""
-    coeffs = _coefficients_of(field)
-    rhs = matrices.advection @ spatial_derivative(coeffs, grid)
-    if problem.has_reaction:
-        # reconstruct u at every quadrature node and project the nonlinearity
-        u_nodes = basis.values @ coeffs
-        reaction = problem.reaction(u_nodes)
-        rhs = rhs + basis.values.T @ (basis.rule.weights[:, None] * reaction)
-    return matrices.solve(rhs)
-
-
 @dataclass(frozen=True)
 class CoefficientTrajectory:
     """Coefficient snapshots at the output times of one window."""
@@ -211,7 +182,7 @@ def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisS
         matrices = assemble_matrices(basis)
 
     # precompute the mass-solved operators once per window; each rhs call is
-    # then plain matrix arithmetic (identical math to galerkin_rhs)
+    # then plain matrix arithmetic
     solved_advection = matrices.solve(matrices.advection)
     if problem.has_reaction:
         v = basis.values
@@ -237,12 +208,7 @@ class WindowRecord:
     window: TimeWindow
     basis: BasisSet
     trajectory: CoefficientTrajectory
-    matrices: GalerkinMatrices | None = None
-
-    def ensure_matrices(self) -> GalerkinMatrices:
-        if self.matrices is None:
-            self.matrices = assemble_matrices(self.basis)
-        return self.matrices
+    matrices: GalerkinMatrices
 
 
 @dataclass
@@ -273,30 +239,25 @@ class ExpansionArchive:
         eps = 1e-9 * max(1.0, abs(t))
         if t < self.t_start - eps or t > self.t_end + eps:
             raise ValueError(f"time {t} outside archive range [{self.t_start}, {self.t_end}]")
-        for record in self.records:
-            if t <= record.window.end + eps:
-                times = np.asarray(record.trajectory.times)
-                return record, int(np.argmin(np.abs(times - t)))
-        return self.records[-1], len(self.records[-1].trajectory.times) - 1
+        record = next(r for r in self.records if t <= r.window.end + eps)
+        times = np.asarray(record.trajectory.times)
+        return record, int(np.argmin(np.abs(times - t)))
 
     def coefficients_at(self, t: float) -> tuple[WindowRecord, np.ndarray]:
         record, idx = self.locate(t)
         return record, record.trajectory.coefficients[idx]
 
     def mean_square_expectation(self, x_index: int, t: float) -> float:
+        """E[u(x, t, .)^2] evaluated as u_hat^T * mass * u_hat at the grid point."""
         record, coeffs = self.coefficients_at(t)
         u_hat = coeffs[:, x_index]
-        return float(u_hat @ record.ensure_matrices().mass @ u_hat)
+        return float(u_hat @ record.matrices.mass @ u_hat)
 
     def mean(self, x_index: int, t: float) -> float:
+        """E[u(x, t, .)] via the basis expectations E[Psi_i]."""
         record, coeffs = self.coefficients_at(t)
         g = record.basis.values.T @ record.basis.rule.weights
         return float(g @ coeffs[:, x_index])
-
-    def reconstruct_at_nodes(self, t: float) -> np.ndarray:
-        """Solution values u(x, xi_l) at the stored time nearest t, shape (K, M)."""
-        record, coeffs = self.coefficients_at(t)
-        return record.basis.reconstruct(coeffs)
 
     def all_output_times(self) -> np.ndarray:
         """Stored output times across windows, deduplicated at the seams."""
@@ -338,39 +299,3 @@ class ExpansionArchive:
             ],
         }
         return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExpansionArchive":
-        payload = json.loads(text)
-        interval = RandomInterval(*payload["rule"]["interval"])
-        rule = QuadratureRule(
-            nodes=np.array(payload["rule"]["nodes"]),
-            weights=np.array(payload["rule"]["weights"]),
-            interval=interval,
-        )
-        archive = cls()
-        for item in payload["windows"]:
-            window = TimeWindow(item["t_start"], item["t_end"], tuple(item["times"]))
-            basis = BasisSet(
-                values=np.array(item["basis_values"]),
-                rule=rule,
-                window=window,
-                singular_values=np.array(item["singular_values"]),
-            )
-            trajectory = CoefficientTrajectory(
-                times=tuple(item["times"]),
-                coefficients=np.array(item["coefficients"]),
-                basis_id=basis.label,
-            )
-            archive.append(WindowRecord(window=window, basis=basis, trajectory=trajectory))
-        return archive
-
-
-def mean_square_expectation(archive: ExpansionArchive, x_index: int, t: float) -> float:
-    """E[u(x, t, .)^2] evaluated as u_hat^T * mass * u_hat at the grid point."""
-    return archive.mean_square_expectation(x_index, t)
-
-
-def mean(archive: ExpansionArchive, x_index: int, t: float) -> float:
-    """E[u(x, t, .)] via the basis expectations E[Psi_i]."""
-    return archive.mean(x_index, t)

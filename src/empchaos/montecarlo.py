@@ -33,8 +33,6 @@ class McConfig:
     seed: int = 0
     step: float | None = None
     chunk_size: int = 5_000
-    lower: float = -1.0
-    upper: float = 1.0
     xi_values: np.ndarray | None = None
 
     def __post_init__(self):
@@ -73,7 +71,7 @@ def _draw_samples(config: McConfig) -> np.ndarray:
         return xi
     # counter-based generator: sample l is reproducible independent of chunking
     rng = np.random.Generator(np.random.Philox(config.seed))
-    return rng.uniform(config.lower, config.upper, config.sample_count)
+    return rng.uniform(-1.0, 1.0, config.sample_count)
 
 
 def mc_statistics(config: McConfig) -> McResult:

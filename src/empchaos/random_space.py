@@ -19,7 +19,6 @@ __all__ = [
     "trapezoid_rule",
     "gauss_legendre_rule",
     "expectation",
-    "legendre_normalized",
     "legendre_table",
 ]
 
@@ -157,25 +156,6 @@ def expectation(values: np.ndarray, rule: QuadratureRule) -> float | np.ndarray:
             f"values length {values.shape[0]} does not match rule with {len(rule)} nodes"
         )
     return np.tensordot(rule.weights, values, axes=(0, 0))
-
-
-def legendre_normalized(order: int, x):
-    """Legendre polynomial of the given degree, orthonormal under the uniform
-    density on [-1, 1]: E[L_i L_j] = delta_ij.
-
-    Evaluated by the three-term recurrence and scaled by sqrt(2*order + 1).
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if order == 0:
-        return np.sqrt(1.0) * p_prev if p_prev.ndim else float(p_prev)
-    p = x.copy()
-    for n in range(1, order):
-        p, p_prev = ((2 * n + 1) * x * p - n * p_prev) / (n + 1), p
-    result = np.sqrt(2 * order + 1) * p
-    return float(result) if result.ndim == 0 else result
 
 
 def legendre_table(n_terms: int, x: np.ndarray) -> np.ndarray:

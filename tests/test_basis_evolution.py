@@ -7,7 +7,6 @@ from empchaos.basis_evolution import (
     SpatialGalerkinPair,
     block_decompose,
     evolve_basis,
-    run_algorithm_1,
     spatial_pair,
 )
 from empchaos.pde_core import (
@@ -177,29 +176,21 @@ class TestEvolveBasis:
 
 
 class TestRunAlgorithm1:
-    def test_all_resample_matches_plain_driver(self, wave, rule_120):
-        grid = SpatialGrid(64)
-        archive_a, _ = run_algorithm_1(wave, grid, rule_120,
-                                       driver.always_resample, 1.0, 3.0)
-        config = driver.EmpiricalConfig(problem=wave, grid=grid, rule=rule_120,
-                                        window_length=1.0, t_final=3.0)
-        archive_b, _ = driver.run_empirical_chaos(config)
-        times_a, values_a = archive_a.statistic_series(0)
-        times_b, values_b = archive_b.statistic_series(0)
-        np.testing.assert_array_equal(times_a, times_b)
-        np.testing.assert_allclose(values_a, values_b, atol=1e-12)
+    """Algorithm 1 of the paper: empirical chaos with scheduled basis evolution."""
 
     def test_evolve_rejected_for_reaction_problem(self, advection_reaction,
                                                   rule_300):
-        grid = SpatialGrid(64)
+        config = driver.EmpiricalConfig(
+            problem=advection_reaction, grid=SpatialGrid(64), rule=rule_300,
+            window_length=1.0, t_final=3.0, schedule=driver.alternating_schedule)
         with pytest.raises(ValueError):
-            run_algorithm_1(advection_reaction, grid, rule_300,
-                            driver.alternating_schedule, 1.0, 3.0)
+            driver.run_schedule(config)
 
     def test_alternating_schedule_stays_accurate(self, wave, rule_120):
-        grid = SpatialGrid(128)
-        archive, timings = run_algorithm_1(wave, grid, rule_120,
-                                           driver.alternating_schedule, 1.0, 6.0)
+        config = driver.EmpiricalConfig(
+            problem=wave, grid=SpatialGrid(128), rule=rule_120,
+            window_length=1.0, t_final=6.0, schedule=driver.alternating_schedule)
+        archive, timings = driver.run_schedule(config)
         times, values = archive.statistic_series(0)
         exact = wave_exact_mean_square(times)
         assert np.max(np.abs(values - exact)) < 1e-2

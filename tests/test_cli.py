@@ -190,6 +190,19 @@ class TestRunCommand:
         assert manifest["status"] == "solver-error"
         assert "diverged" in manifest["error"]
 
+    @pytest.mark.parametrize("solver", ["empirical", "gpc"])
+    def test_invalid_step_exits_validation(self, tmp_path, solver):
+        # a unit step breaks the CFL bound of the ensemble march and misses
+        # the 0.1 output cadence of the gPC march
+        out = tmp_path / solver
+        code = cli.main(["run", "--solver", solver, "--grid-size", "32",
+                         "--node-count", "20", "--order", "4", "--t-final", "1",
+                         "--step", "1.0", "--output-dir", str(out)])
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "invalid-input"
+        assert "step" in manifest["error"].lower()
+
 
 class TestCompareCommand:
     def test_identical_series_pass(self, tmp_path):

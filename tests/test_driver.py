@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from empchaos import driver
 from empchaos.driver import (
     EVOLVE,
     HOLD,
@@ -9,8 +10,8 @@ from empchaos.driver import (
     StageTimings,
     alternating_schedule,
     always_resample,
-    run_empirical_chaos,
     run_schedule,
+    window_plan,
 )
 from empchaos.pde_core import SpatialGrid, TimeWindow, wave_exact_mean_square
 
@@ -63,13 +64,42 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_schedule(config)
 
+    def test_plan_rejects_before_sampling(self, wave, small_grid, rule_120,
+                                          monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the plan was checked")
+
+        monkeypatch.setattr(driver, "solve_ensemble", no_sampling)
+        config = EmpiricalConfig(problem=wave, grid=small_grid, rule=rule_120,
+                                 t_final=3.0,
+                                 schedule=lambda i: "shuffle" if i == 2 else HOLD)
+        with pytest.raises(ValueError, match="unknown action"):
+            run_schedule(config)
+
+
+class TestWindowPlan:
+    def test_evolve_windows_split_into_two_output_substeps(self, wave, small_grid,
+                                                           rule_120):
+        config = EmpiricalConfig(problem=wave, grid=small_grid, rule=rule_120,
+                                 window_length=1.0, t_final=2.5,
+                                 evolve_substep=0.25,
+                                 schedule=alternating_schedule)
+        plan = window_plan(config)
+        assert [action for action, _ in plan] == [RESAMPLE] + [EVOLVE] * 4 + [RESAMPLE]
+        assert len(plan[0][1].output_times) == 11
+        assert all(len(window.output_times) == 2 for _, window in plan[1:5])
+        assert plan[-1][1].start == pytest.approx(2.0)
+        assert plan[-1][1].end == pytest.approx(2.5)
+        for (_, prev), (_, nxt) in zip(plan, plan[1:]):
+            assert nxt.start == prev.end
+
 
 class TestRunEmpiricalChaos:
     def test_archive_covers_horizon_contiguously(self, wave, rule_120):
         grid = SpatialGrid(64)
         config = EmpiricalConfig(problem=wave, grid=grid, rule=rule_120,
                                  window_length=1.0, t_final=3.5)
-        archive, timings = run_empirical_chaos(config)
+        archive, timings = run_schedule(config)
         windows = [record.window for record in archive.records]
         assert windows[0].start == pytest.approx(0.0)
         assert windows[-1].end == pytest.approx(3.5)
@@ -80,7 +110,7 @@ class TestRunEmpiricalChaos:
         grid = SpatialGrid(128)
         config = EmpiricalConfig(problem=wave, grid=grid, rule=rule_120,
                                  window_length=1.0, t_final=5.0)
-        archive, _ = run_empirical_chaos(config)
+        archive, _ = run_schedule(config)
         times, values = archive.statistic_series(0)
         exact = wave_exact_mean_square(times)
         assert np.max(np.abs(values - exact)) < 1e-3
@@ -89,7 +119,7 @@ class TestRunEmpiricalChaos:
         grid = SpatialGrid(64)
         config = EmpiricalConfig(problem=wave, grid=grid, rule=rule_120,
                                  window_length=1.0, t_final=2.0)
-        _, timings = run_empirical_chaos(config)
+        _, timings = run_schedule(config)
         for stage in ("sampling", "svd", "change_of_basis", "rhs_assembly",
                       "propagation"):
             assert getattr(timings, stage) > 0.0
@@ -99,7 +129,7 @@ class TestRunEmpiricalChaos:
         grid = SpatialGrid(64)
         config = EmpiricalConfig(problem=wave, grid=grid, rule=rule_120,
                                  window_length=1.0, t_final=2.0, basis_cap=2)
-        archive, _ = run_empirical_chaos(config)
+        archive, _ = run_schedule(config)
         assert np.all(archive.basis_counts() <= 2)
 
     def test_reaction_problem_runs(self, advection_reaction, rule_300):
@@ -107,7 +137,7 @@ class TestRunEmpiricalChaos:
         config = EmpiricalConfig(problem=advection_reaction, grid=grid,
                                  rule=rule_300, window_length=2.0, t_final=4.0,
                                  outputs_per_window=6)
-        archive, _ = run_empirical_chaos(config)
+        archive, _ = run_schedule(config)
         times, values = archive.statistic_series(0)
         assert times[0] == pytest.approx(0.0)
         assert values[0] == pytest.approx(6.25, abs=1e-8)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from empchaos.galerkin import (
     WindowRecord,
     assemble_matrices,
     change_basis,
-    galerkin_rhs,
     project_function,
     project_initial_condition,
     project_node_values,
@@ -172,37 +173,27 @@ class TestChangeBasis:
 
 
 class TestGalerkinRhs:
-    def test_constant_basis_wave_is_frozen(self, wave, rule_300):
-        grid = SpatialGrid(32)
-        basis = constant_basis(rule_300)
-        matrices = assemble_matrices(basis)
-        field = CoefficientField(coefficients=np.cos(grid.points)[None, :],
-                                 time_stamp=0.0, basis_id=basis.label)
-        rhs = galerkin_rhs(wave, field, basis, matrices, grid)
-        np.testing.assert_allclose(rhs, 0.0, atol=1e-14)
-
     def test_reaction_projection_on_constant_basis(self, advection_reaction, rule_300):
         grid = SpatialGrid(32)
         basis = constant_basis(rule_300)
         matrices = assemble_matrices(basis)
         field = CoefficientField(coefficients=np.full((1, 32), 4.0),
                                  time_stamp=0.0, basis_id=basis.label)
-        rhs = galerkin_rhs(advection_reaction, field, basis, matrices, grid)
-        # u = 4 everywhere: advection term vanishes, reaction adds 0.1*sqrt(4)
-        np.testing.assert_allclose(rhs, 0.2, atol=1e-12)
+        window = TimeWindow.with_uniform_outputs(0.0, 0.5, 3)
+        trajectory = propagate_window(advection_reaction, field, basis, window,
+                                      grid, 1e-2, matrices)
+        # u constant in x: the advection term vanishes and u' = 0.1*sqrt(u)
+        # from u = 4 gives u(t) = (2 + 0.05 t)^2
+        for t, coeffs in zip(trajectory.times, trajectory.coefficients):
+            np.testing.assert_allclose(coeffs, (2.0 + 0.05 * t) ** 2, atol=1e-12)
 
-    def test_matches_gpc_rhs_on_legendre_basis(self, wave):
-        rule = gauss_legendre_rule(16)
-        grid = SpatialGrid(64)
+    def test_matches_gpc_rhs_on_legendre_basis(self):
+        # the mass-solved advection operator of the general Galerkin rhs is the
+        # dedicated gPC coupling matrix on a normalized Legendre basis
         order = 8
-        basis = legendre_basis(order, rule)
-        matrices = assemble_matrices(basis)
-        field = project_initial_condition(wave, basis, grid)
-        general = galerkin_rhs(wave, field, basis, matrices, grid)
-        advection = gpc.legendre_advection_matrix(order)
-        from empchaos.pde_core import spatial_derivative
-        dedicated = advection @ spatial_derivative(field.coefficients, grid)
-        np.testing.assert_allclose(general, dedicated, atol=1e-10)
+        matrices = assemble_matrices(legendre_basis(order, gauss_legendre_rule(16)))
+        np.testing.assert_allclose(matrices.solve(matrices.advection),
+                                   gpc.legendre_advection_matrix(order), atol=1e-10)
 
 
 class TestPropagateWindow:
@@ -297,11 +288,10 @@ class TestArchiveStatistics:
         # node reconstruction: two evaluation orders of one bilinear form
         grid = SpatialGrid(64)
         archive = build_archive(wave, rule_120, grid, t_final=1.0)
-        record = archive.records[0]
-        t = 0.6
-        values = archive.reconstruct_at_nodes(t)
+        record, coeffs = archive.coefficients_at(0.6)
+        values = record.basis.reconstruct(coeffs)
         direct = expectation(values[:, 5] ** 2, record.basis.rule)
-        assert archive.mean_square_expectation(5, t) == pytest.approx(
+        assert archive.mean_square_expectation(5, 0.6) == pytest.approx(
             float(direct), abs=1e-10)
 
     def test_contiguity_enforced(self, wave, rule_120):
@@ -312,16 +302,27 @@ class TestArchiveStatistics:
         trajectory = archive.records[0].trajectory
         with pytest.raises(ValueError):
             archive.append(WindowRecord(window=gap_window, basis=basis,
-                                        trajectory=trajectory))
+                                        trajectory=trajectory,
+                                        matrices=archive.records[0].matrices))
 
     def test_json_round_trip(self, wave, rule_120):
         grid = SpatialGrid(32)
         archive = build_archive(wave, rule_120, grid, t_final=2.0)
-        restored = ExpansionArchive.from_json(archive.to_json())
-        assert len(restored.records) == len(archive.records)
-        for t in (0.0, 0.5, 1.5, 2.0):
-            assert restored.mean_square_expectation(0, t) == pytest.approx(
-                archive.mean_square_expectation(0, t), abs=1e-12)
+        payload = json.loads(archive.to_json())
+        rule = archive.records[0].basis.rule
+        assert payload["rule"]["nodes"] == rule.nodes.tolist()
+        assert payload["rule"]["weights"] == rule.weights.tolist()
+        assert payload["rule"]["interval"] == [rule.interval.lower, rule.interval.upper]
+        assert len(payload["windows"]) == len(archive.records)
+        for item, record in zip(payload["windows"], archive.records):
+            assert item["t_start"] == record.window.start
+            assert item["t_end"] == record.window.end
+            assert item["times"] == list(record.trajectory.times)
+            np.testing.assert_array_equal(item["basis_values"], record.basis.values)
+            np.testing.assert_array_equal(item["singular_values"],
+                                          record.basis.singular_values)
+            np.testing.assert_array_equal(item["coefficients"],
+                                          record.trajectory.coefficients)
 
     def test_statistic_series_covers_all_windows(self, wave, rule_120):
         grid = SpatialGrid(32)

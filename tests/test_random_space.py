@@ -9,7 +9,6 @@ from empchaos.random_space import (
     chebyshev_nodes,
     expectation,
     gauss_legendre_rule,
-    legendre_normalized,
     legendre_table,
     trapezoid_rule,
 )
@@ -114,10 +113,10 @@ class TestExpectation:
 
 class TestNormalizedLegendre:
     def test_order_zero_is_one(self):
-        assert legendre_normalized(0, 0.37) == pytest.approx(1.0)
+        assert legendre_table(1, 0.37)[0, 0] == pytest.approx(1.0)
 
     def test_order_one_scaling(self):
-        assert legendre_normalized(1, 0.5) == pytest.approx(np.sqrt(3.0) * 0.5)
+        assert legendre_table(2, 0.5)[0, 1] == pytest.approx(np.sqrt(3.0) * 0.5)
 
     def test_orthonormal_under_exact_quadrature(self):
         # a Gauss-Legendre rule integrates the degree-40 products exactly
@@ -134,9 +133,13 @@ class TestNormalizedLegendre:
         np.testing.assert_allclose(gram, np.eye(21), atol=1e-3)
 
     def test_table_matches_scalar_evaluation(self, rule_300):
+        # independent reference: numpy's Legendre series times sqrt(2n + 1)
         table = legendre_table(6, rule_300.nodes)
         for order in range(6):
-            expected = [legendre_normalized(order, x) for x in rule_300.nodes[:10]]
+            unit = np.zeros(order + 1)
+            unit[order] = 1.0
+            expected = (np.sqrt(2 * order + 1)
+                        * np.polynomial.legendre.legval(rule_300.nodes[:10], unit))
             np.testing.assert_allclose(table[:10, order], expected, atol=1e-13)
 
 
