@@ -229,8 +229,11 @@ def _empirical_artifacts(config: ExperimentConfig, archive, out: str) -> list[st
     return files
 
 
-def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
-    """Run the configured solver, write its artifacts, return (files, timings)."""
+def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
+    """Run the configured solver and write its artifacts.
+
+    Returns (files, timings, extra manifest fields).
+    """
     problem = _PROBLEMS[config.problem]()
     grid = pde_core.SpatialGrid(config.grid_size)
     rule = random_space.trapezoid_rule(
@@ -252,7 +255,7 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
         tic = time.perf_counter()
         files = _empirical_artifacts(config, archive, out)
         stage_seconds["export"] = time.perf_counter() - tic
-        return files, stage_seconds
+        return files, stage_seconds, {}
 
     # the reference solvers report at the empirical solver's output times
     plan = driver.window_plan(emp_config)
@@ -268,7 +271,7 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
         write_series(os.path.join(out, "mean_square.csv"), times, ms)
         write_series(os.path.join(out, "mean.csv"), times, mean)
         seconds = time.perf_counter() - tic
-        return ["mean_square.csv", "mean.csv"], {"evaluation": seconds}
+        return ["mean_square.csv", "mean.csv"], {"evaluation": seconds}, {}
 
     if config.solver == "gpc":
         rule = gpc.default_rule(config.resolved_node_count)
@@ -284,7 +287,7 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
                       gpc.mean_series(system, config.x_index))
         export = time.perf_counter() - tic
         return (["mean_square.csv", "mean.csv"],
-                {"propagation": propagation, "export": export})
+                {"propagation": propagation, "export": export}, {})
 
     # mc
     mc_config = montecarlo.McConfig(
@@ -300,7 +303,10 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict]:
     t, mean, mean_err = result.series(config.x_index, "mean")
     write_series(os.path.join(out, "mean.csv"), t, mean, mean_err)
     export = time.perf_counter() - tic
-    return ["mean_square.csv", "mean.csv"], {"sampling": seconds, "export": export}
+    counts = {"sample_count": result.sample_count,
+              "diverged_count": result.diverged_count}
+    return (["mean_square.csv", "mean.csv"], {"sampling": seconds, "export": export},
+            {"monte_carlo": counts})
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -318,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     }
     tic = time.perf_counter()
     try:
-        files, stage_seconds = _solve(config, out)
+        files, stage_seconds, extra = _solve(config, out)
     except (IntegrationDiverged, IllConditionedBasis, ValueError) as exc:
         # a ValueError is a setting the solver rejects, such as a step that
         # breaks the CFL bound or misses the output times
@@ -333,6 +339,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     manifest["total_seconds"] = time.perf_counter() - tic
     manifest["files"] = files
     manifest["stage_seconds"] = stage_seconds
+    manifest.update(extra)
     _write_text(os.path.join(out, "manifest.json"),
                 json.dumps(manifest, indent=2) + "\n")
     return EXIT_OK

@@ -2,8 +2,8 @@
 
 Assembles mass/advection matrices by quadrature, projects functions and
 initial conditions, converts coefficients between bases, propagates the
-implicit coefficient ODE with RK4, and evaluates solution statistics from the
-archive of solved windows.
+implicit coefficient ODE with RK4 (in Fourier space for the wave problem),
+and evaluates solution statistics from the archive of solved windows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .pde_core import PdeProblem, SpatialGrid, TimeWindow, integrate_ode, spatial_derivative
+from .pde_core import (
+    PdeProblem,
+    SpatialGrid,
+    TimeWindow,
+    integrate_advection,
+    integrate_ode,
+    spatial_derivative,
+)
 from .pod import BasisSet
 
 __all__ = [
@@ -175,16 +182,23 @@ class CoefficientTrajectory:
 def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisSet,
                      window: TimeWindow, grid: SpatialGrid, step: float,
                      matrices: GalerkinMatrices | None = None) -> CoefficientTrajectory:
-    """RK4 on the mass-solved Galerkin system over one window."""
+    """RK4 on the mass-solved Galerkin system over one window.
+
+    For the wave problem the operator mass^-1 * advection is diagonalized by
+    the generalized eigenproblem advection * V = mass * V * diag(lam), which
+    has real eigenvalues because both matrices are symmetric and the mass is
+    positive definite; V^T * mass * V = I gives V^-1 = V^T * mass, and
+    ``integrate_advection`` applies the RK4 steps in Fourier space.
+    """
     if field.basis_id != basis.label:
         raise ValueError("coefficient field is not expressed in the given basis")
     if matrices is None:
         matrices = assemble_matrices(basis)
 
-    # precompute the mass-solved operators once per window; each rhs call is
-    # then plain matrix arithmetic
-    solved_advection = matrices.solve(matrices.advection)
     if problem.has_reaction:
+        # precompute the mass-solved operators once per window; each rhs call
+        # is then plain matrix arithmetic
+        solved_advection = matrices.solve(matrices.advection)
         v = basis.values
         solved_projector = matrices.solve((basis.rule.weights[:, None] * v).T)
 
@@ -192,11 +206,12 @@ def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisS
             out = solved_advection @ spatial_derivative(coeffs, grid)
             out += solved_projector @ problem.reaction(v @ coeffs)
             return out
-    else:
-        def rhs(t, coeffs):
-            return solved_advection @ spatial_derivative(coeffs, grid)
 
-    states = integrate_ode(rhs, field.coefficients, window, step)
+        states = integrate_ode(rhs, field.coefficients, window, step)
+    else:
+        lam, vecs = scipy.linalg.eigh(matrices.advection, matrices.mass)
+        states = integrate_advection(lam, field.coefficients, window, grid, step,
+                                     (vecs, vecs.T @ matrices.mass))
     return CoefficientTrajectory(times=window.output_times, coefficients=states,
                                  basis_id=basis.label)
 

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .pde_core import TimeWindow
 from .random_space import QuadratureRule
@@ -122,7 +123,13 @@ def truncate_pod(
         raise ValueError("threshold must lie in (0, 1)")
     if matrix.sample_count != len(rule):
         raise ValueError("trajectory column count must equal quadrature node count")
-    _, sigma, vt = np.linalg.svd(matrix.entries, full_matrices=False)
+    # the right singular vectors and singular values of T = QR are those of R
+    # (T. Chan's R-bidiagonalization), and R is small for a tall T. scipy keeps
+    # both factorizations in the BLAS thread pool of the Galerkin solves; with
+    # numpy's pool in between, the two pools' idle threads spin against each
+    # other and slow every threaded call on a two-core machine.
+    (r,) = scipy.linalg.qr(matrix.entries, mode="r", check_finite=False)
+    _, sigma, vt = scipy.linalg.svd(r, full_matrices=False, check_finite=False)
     if sigma[0] == 0.0:
         raise ValueError("degenerate input: trajectory matrix is zero")
     n_keep = max(1, int(np.count_nonzero(sigma / sigma[0] >= threshold)))

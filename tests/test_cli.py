@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -164,6 +165,31 @@ class TestRunCommand:
         assert cli.main(args + ["--output-dir", str(tmp_path / "b")]) == 0
         assert ((tmp_path / "a" / "mean_square.csv").read_bytes()
                 == (tmp_path / "b" / "mean_square.csv").read_bytes())
+
+    def test_mc_manifest_records_sample_counts(self, tmp_path):
+        out = tmp_path / "mc"
+        code = cli.main(["run", "--solver", "mc", "--grid-size", "32",
+                         "--sample-count", "50", "--t-final", "1.0",
+                         "--output-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["monte_carlo"] == {"sample_count": 50, "diverged_count": 0}
+
+    def test_mc_manifest_records_divergence(self, tmp_path, monkeypatch):
+        solve = cli.montecarlo.mc_statistics
+
+        def losing_three(config):
+            result = solve(config)
+            return dataclasses.replace(result, sample_count=result.sample_count - 3,
+                                       diverged_count=3)
+
+        monkeypatch.setattr(cli.montecarlo, "mc_statistics", losing_three)
+        out = tmp_path / "mc"
+        assert cli.main(["run", "--solver", "mc", "--grid-size", "32",
+                         "--sample-count", "20", "--t-final", "1.0",
+                         "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["monte_carlo"] == {"sample_count": 17, "diverged_count": 3}
 
     def test_gpc_run(self, tmp_path):
         out = tmp_path / "gpc"

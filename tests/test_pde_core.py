@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from empchaos.basis_evolution import evolve_basis, spatial_pair
+from empchaos.galerkin import (
+    assemble_matrices,
+    change_basis,
+    project_initial_condition,
+    propagate_window,
+)
 from empchaos.pde_core import (
     IntegrationDiverged,
     SpatialGrid,
     TimeWindow,
     default_step,
+    integrate_advection,
     integrate_ode,
     solve_ensemble,
     solve_fixed_xi,
@@ -15,6 +23,7 @@ from empchaos.pde_core import (
     wave_exact_mean,
     wave_exact_mean_square,
 )
+from empchaos.pod import assemble_trajectory_matrix, truncate_pod
 
 
 class TestSpatialGrid:
@@ -120,6 +129,87 @@ class TestIntegrateOde:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             integrate_ode(lambda t, u: u, np.array([1.0]), TimeWindow(0.0, 1.0), 0.0)
+
+
+def assert_matches_march(states, marched):
+    np.testing.assert_allclose(states, marched, rtol=0.0, atol=1e-12)
+
+
+def sampled_pod_basis(wave, rule, grid, window):
+    states = solve_ensemble(wave, rule.nodes, np.cos(grid.points), window, grid)
+    return truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)),
+                        1e-4, rule, window)
+
+
+def galerkin_march(matrices, field, window, grid, step):
+    """The wave Galerkin system c' = mass^-1 * advection * D c, marched."""
+    solved = matrices.solve(matrices.advection)
+    return integrate_ode(lambda t, c: solved @ spatial_derivative(c, grid),
+                         field.coefficients, window, step)
+
+
+class TestIntegrateAdvection:
+    """The Fourier-space RK4 kernel against the marched RK4 it replaces."""
+
+    def test_random_ensemble_matches_march(self):
+        grid = SpatialGrid(128)
+        rng = np.random.default_rng(3)
+        speeds = rng.uniform(-1.0, 1.0, 40)
+        initial = rng.normal(size=(40, 128))
+        window = TimeWindow.with_uniform_outputs(0.5, 1.5, 11)
+        states = integrate_advection(speeds, initial, window, grid, 1e-2)
+        marched = integrate_ode(
+            lambda t, u: speeds[:, None] * spatial_derivative(u, grid),
+            initial, window, 1e-2)
+        assert_matches_march(states, marched)
+
+    def test_pod_basis_window_matches_march(self, wave, rule_120):
+        grid = SpatialGrid(128)
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
+        basis = sampled_pod_basis(wave, rule_120, grid, window)
+        matrices = assemble_matrices(basis)
+        field = project_initial_condition(wave, basis, grid, matrices)
+        trajectory = propagate_window(wave, field, basis, window, grid, 1e-2, matrices)
+        assert_matches_march(trajectory.coefficients,
+                             galerkin_march(matrices, field, window, grid, 1e-2))
+
+    def test_evolved_basis_window_matches_march(self, wave, rule_120):
+        grid = SpatialGrid(128)
+        first = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
+        basis = sampled_pod_basis(wave, rule_120, grid, first)
+        matrices = assemble_matrices(basis)
+        field = project_initial_condition(wave, basis, grid, matrices)
+        field = propagate_window(wave, field, basis, first, grid, 1e-2, matrices).final
+        evolved = evolve_basis(basis, spatial_pair(field, grid), 0.1)
+        gram = evolved.values.T @ evolved.values
+        assert not np.allclose(gram, np.eye(evolved.size), atol=1e-6)
+        evolved_matrices = assemble_matrices(evolved)
+        field = change_basis(field, basis, evolved, evolved_matrices)
+        window = TimeWindow.with_uniform_outputs(1.0, 1.1, 2)
+        trajectory = propagate_window(wave, field, evolved, window, grid, 1e-2,
+                                      evolved_matrices)
+        assert_matches_march(trajectory.coefficients,
+                             galerkin_march(evolved_matrices, field, window, grid, 1e-2))
+
+    def test_step_zero_output_is_the_initial_state(self):
+        grid = SpatialGrid(32)
+        initial = np.random.default_rng(1).normal(size=(3, 32))
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
+        states = integrate_advection(np.array([-1.0, 0.2, 0.9]), initial, window,
+                                     grid, 1e-2)
+        np.testing.assert_array_equal(states[0], initial)
+
+    def test_wave_cfl_guard_still_fires(self, wave):
+        grid = SpatialGrid(64)
+        with pytest.raises(ValueError, match="CFL"):
+            solve_ensemble(wave, np.array([-1.0, 1.0]), np.cos(grid.points),
+                           TimeWindow(0.0, 1.0), grid, step=0.51 * grid.spacing)
+
+    def test_output_time_off_step_boundary(self):
+        grid = SpatialGrid(32)
+        window = TimeWindow(0.0, 1.0, (0.0, 0.333, 1.0))
+        with pytest.raises(ValueError, match="step boundary"):
+            integrate_advection(np.array([0.5]), np.ones((1, 32)), window, grid, 0.25)
 
 
 class TestSolveFixedXi:
