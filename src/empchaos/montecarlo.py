@@ -13,9 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pde_core import PdeProblem, SpatialGrid, TimeWindow, default_step, solve_ensemble
+from .pde_core import (
+    IntegrationDiverged,
+    PdeProblem,
+    SpatialGrid,
+    TimeWindow,
+    default_step,
+    solve_ensemble,
+)
 
-__all__ = ["McConfig", "McResult", "mc_statistics"]
+__all__ = ["AllSamplesDiverged", "McConfig", "McResult", "mc_statistics"]
+
+
+class AllSamplesDiverged(IntegrationDiverged):
+    """Raised when every Monte Carlo sample is non-finite by the end of the window."""
+
+    def __init__(self, sample_count: int, time: float):
+        RuntimeError.__init__(
+            self, f"all {sample_count} Monte Carlo samples diverged by t = {time:.6g}")
+        self.time = time
+        self.sample_count = sample_count
 
 
 @dataclass(frozen=True)
@@ -79,7 +96,8 @@ def mc_statistics(config: McConfig) -> McResult:
 
     Samples integrate in fixed-size chunks whose partial sums are combined in
     a fixed order, so results do not depend on scheduling. Diverged samples
-    (non-finite states) are excluded with a warning.
+    (non-finite states) are excluded with a warning; if none is left,
+    ``AllSamplesDiverged`` is raised.
     """
     xi = _draw_samples(config)
     step = config.step
@@ -112,7 +130,7 @@ def mc_statistics(config: McConfig) -> McResult:
     if diverged:
         warnings.warn(f"excluded {diverged} diverged Monte Carlo samples", RuntimeWarning)
     if good == 0:
-        raise RuntimeError("all Monte Carlo samples diverged")
+        raise AllSamplesDiverged(diverged, config.window.end)
     mean = s1 / good
     mean_square = s2 / good
     var_u = np.maximum(s2 / good - mean**2, 0.0)

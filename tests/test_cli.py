@@ -191,6 +191,21 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["monte_carlo"] == {"sample_count": 17, "diverged_count": 3}
 
+    def test_mc_all_diverged_writes_solver_error_manifest(self, tmp_path, monkeypatch):
+        def all_diverged(config):
+            raise cli.montecarlo.AllSamplesDiverged(config.sample_count,
+                                                    config.window.end)
+
+        monkeypatch.setattr(cli.montecarlo, "mc_statistics", all_diverged)
+        out = tmp_path / "mc"
+        code = cli.main(["run", "--solver", "mc", "--grid-size", "32",
+                         "--sample-count", "20", "--t-final", "1.0",
+                         "--output-dir", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "solver-error"
+        assert manifest["error"] == "all 20 Monte Carlo samples diverged by t = 1"
+
     def test_gpc_run(self, tmp_path):
         out = tmp_path / "gpc"
         code = cli.main(["run", "--solver", "gpc", "--order", "8",

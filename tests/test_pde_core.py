@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from empchaos import pde_core
 from empchaos.basis_evolution import evolve_basis, spatial_pair
 from empchaos.galerkin import (
     assemble_matrices,
@@ -12,11 +13,13 @@ from empchaos.galerkin import (
 )
 from empchaos.pde_core import (
     IntegrationDiverged,
+    PdeProblem,
     SpatialGrid,
     TimeWindow,
     default_step,
     integrate_advection,
     integrate_ode,
+    integrate_reaction,
     solve_ensemble,
     solve_fixed_xi,
     spatial_derivative,
@@ -210,6 +213,118 @@ class TestIntegrateAdvection:
         window = TimeWindow(0.0, 1.0, (0.0, 0.333, 1.0))
         with pytest.raises(ValueError, match="step boundary"):
             integrate_advection(np.array([0.5]), np.ones((1, 32)), window, grid, 0.25)
+
+
+def old_reaction(problem, u):
+    """c*|u|^p as the stacked march computed it before the blocked kernel."""
+    if problem.reaction_exponent == 0.5:
+        return problem.reaction_coefficient * np.sqrt(np.abs(u))
+    return problem.reaction_coefficient * np.abs(u) ** problem.reaction_exponent
+
+
+def reaction_march(problem, speeds, initial, window, grid, step):
+    """The advection-reaction ensemble marched by ``integrate_ode`` with the
+    closure right-hand side that ``solve_ensemble`` used to build."""
+    column = np.asarray(speeds, dtype=float)[:, None]
+
+    def rhs(t, u):
+        return column * spatial_derivative(u, grid) + old_reaction(problem, u)
+    return integrate_ode(rhs, initial, window, step)
+
+
+def samples_per_block(grid):
+    return pde_core._BLOCK_ENTRIES // grid.point_count
+
+
+class TestIntegrateReaction:
+    """The blocked, sample-major RK4 kernel against the march it replaces,
+    compared bit for bit."""
+
+    def test_single_sample_through_solve_fixed_xi(self, advection_reaction):
+        grid = SpatialGrid(128)
+        u0 = advection_reaction.initial_condition(grid.points)
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
+        states = solve_fixed_xi(advection_reaction, 0.7, u0, window, grid, 1e-2)
+        marched = reaction_march(advection_reaction, [0.7], u0[None, :], window,
+                                 grid, 1e-2)
+        np.testing.assert_array_equal(states, marched[:, 0, :])
+
+    @pytest.mark.parametrize("points,extra_blocks,extra_rows",
+                             [(64, 1, 1), (64, 2, 3), (65, 2, 3)])
+    def test_ragged_blocks_match_march(self, advection_reaction, points,
+                                       extra_blocks, extra_rows):
+        grid = SpatialGrid(points)
+        count = extra_blocks * samples_per_block(grid) + extra_rows
+        rng = np.random.default_rng(points + count)
+        speeds = rng.uniform(-1.0, 1.0, count)
+        initial = 1.5 + rng.uniform(-1.0, 1.0, (count, points))
+        window = TimeWindow.with_uniform_outputs(0.3, 0.8, 6)
+        states = integrate_reaction(advection_reaction, speeds, initial, window,
+                                    grid, 1e-2)
+        np.testing.assert_array_equal(
+            states, reaction_march(advection_reaction, speeds, initial, window,
+                                   grid, 1e-2))
+
+    def test_shared_initial_state_through_solve_ensemble(self, advection_reaction):
+        grid = SpatialGrid(64)
+        count = samples_per_block(grid) + 5
+        speeds = np.random.default_rng(5).uniform(-1.0, 1.0, count)
+        u0 = advection_reaction.initial_condition(grid.points)
+        window = TimeWindow.with_uniform_outputs(0.0, 0.5, 3)
+        states = solve_ensemble(advection_reaction, speeds, u0, window, grid, 1e-2)
+        marched = reaction_march(advection_reaction, speeds,
+                                 np.tile(u0, (count, 1)), window, grid, 1e-2)
+        np.testing.assert_array_equal(states, marched)
+
+    def test_linear_exponent_uses_power_path(self):
+        problem = PdeProblem(kind="AdvectionReaction",
+                             initial_condition=lambda x: np.cos(x) + 1.5,
+                             reaction_coefficient=0.3, reaction_exponent=1.0)
+        grid = SpatialGrid(32)
+        rng = np.random.default_rng(7)
+        speeds = rng.uniform(-1.0, 1.0, samples_per_block(grid) + 2)
+        initial = rng.normal(size=(speeds.size, 32))
+        window = TimeWindow.with_uniform_outputs(0.0, 0.5, 3)
+        np.testing.assert_array_equal(
+            integrate_reaction(problem, speeds, initial, window, grid, 1e-2),
+            reaction_march(problem, speeds, initial, window, grid, 1e-2))
+
+    def test_step_zero_output_is_the_initial_state(self, advection_reaction):
+        grid = SpatialGrid(32)
+        initial = np.random.default_rng(2).normal(size=(3, 32))
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
+        states = integrate_reaction(advection_reaction, np.array([-1.0, 0.2, 0.9]),
+                                    initial, window, grid, 1e-2)
+        np.testing.assert_array_equal(states[0], initial)
+
+    def test_divergence_time_is_the_earliest_over_all_blocks(self):
+        # cubic growth blows up from amplitude a at about t = 1/(2a^2); rows
+        # in blocks 1, 2 and 3 blow up at different steps, earliest in block
+        # 2, so neither the first nor the last diverging block gives the time
+        blower = PdeProblem(kind="AdvectionReaction",
+                            initial_condition=lambda x: np.cos(x) + 1.5,
+                            reaction_coefficient=1.0, reaction_exponent=3.0)
+        grid = SpatialGrid(64)
+        block = samples_per_block(grid)
+        speeds = np.random.default_rng(4).uniform(-1.0, 1.0, 3 * block + 3)
+        initial = np.full((speeds.size, 64), 0.1)
+        rows = {1: block + 7, 2: 2 * block + 11, 3: 3 * block + 1}
+        for b, amplitude in ((1, 2.0), (2, 4.0), (3, 3.0)):
+            initial[rows[b]] = amplitude
+        window = TimeWindow(0.0, 0.5)
+
+        def time_of(march, *args):
+            with pytest.raises(IntegrationDiverged) as info, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                march(blower, *args, window, grid, 1e-2)
+            return info.value.time
+
+        alone = {b: time_of(reaction_march, speeds[[row]], initial[[row]])
+                 for b, row in rows.items()}
+        assert alone[2] < alone[3] < alone[1]
+        marched = time_of(reaction_march, speeds, initial)
+        assert marched == alone[2]
+        assert time_of(integrate_reaction, speeds, initial) == marched
 
 
 class TestSolveFixedXi:
