@@ -124,8 +124,7 @@ def evolve_basis(basis: BasisSet, pair: SpatialGalerkinPair, dt: float) -> Basis
     if not np.all(np.isfinite(values)):
         raise OverflowError("matrix exponential overflowed during basis evolution")
     window = TimeWindow(basis.window.start + dt, basis.window.end + dt)
-    return BasisSet(values=values, rule=basis.rule, window=window,
-                    singular_values=basis.singular_values)
+    return BasisSet(values=values, rule=basis.rule, window=window)
 
 
 def _apply_exponentials(generator: np.ndarray, scales: np.ndarray,

@@ -5,8 +5,9 @@ and JSON artifacts, times the pipeline stages, runs wall-clock scaling studies
 over a set of final times, and compares statistic time series between runs.
 
 Exit codes: 0 success, 1 invalid configuration or input the solver rejects
-(such as a step that breaks the CFL bound), 2 solver divergence or an
-ill-conditioned basis, 3 comparison failure.
+(such as a step that breaks the CFL bound), 2 solver divergence, an
+ill-conditioned basis or a failed basis evolution (a singular Gram block or an
+overflowing matrix exponential), 3 comparison failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, driver, gpc, montecarlo, pde_core, random_space
+from .basis_evolution import SingularBlock
 from .galerkin import IllConditionedBasis
 from .pde_core import IntegrationDiverged
 
@@ -223,9 +225,6 @@ def _empirical_artifacts(config: ExperimentConfig, archive, out: str) -> list[st
             files.append(name)
     _write_text(os.path.join(out, "basis_counts.csv"), "\n".join(count_lines) + "\n")
     files.append("basis_counts.csv")
-
-    _write_text(os.path.join(out, "archive.json"), archive.to_json())
-    files.append("archive.json")
     return files
 
 
@@ -325,7 +324,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     tic = time.perf_counter()
     try:
         files, stage_seconds, extra = _solve(config, out)
-    except (IntegrationDiverged, IllConditionedBasis, ValueError) as exc:
+    except (IntegrationDiverged, IllConditionedBasis, SingularBlock, OverflowError,
+            ValueError) as exc:
         # a ValueError is a setting the solver rejects, such as a step that
         # breaks the CFL bound or misses the output times
         invalid = isinstance(exc, ValueError)

@@ -51,7 +51,7 @@ class StageTimings:
     sampling: float = 0.0
     svd: float = 0.0
     change_of_basis: float = 0.0
-    rhs_assembly: float = 0.0
+    assembly: float = 0.0
     propagation: float = 0.0
     basis_evolution: float = 0.0
 
@@ -183,7 +183,7 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
         if action != HOLD:
             tic = time.perf_counter()
             matrices = assemble_matrices(new_basis)
-            timings.add("rhs_assembly", time.perf_counter() - tic)
+            timings.add("assembly", time.perf_counter() - tic)
 
             tic = time.perf_counter()
             if current_field is None:

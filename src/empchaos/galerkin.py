@@ -8,7 +8,6 @@ and evaluates solution statistics from the archive of solved windows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,13 +169,10 @@ class CoefficientTrajectory:
     coefficients: np.ndarray  # (n_times, N_b, M)
     basis_id: str
 
-    def field_at(self, index: int) -> CoefficientField:
-        return CoefficientField(coefficients=self.coefficients[index],
-                                time_stamp=self.times[index], basis_id=self.basis_id)
-
     @property
     def final(self) -> CoefficientField:
-        return self.field_at(len(self.times) - 1)
+        return CoefficientField(coefficients=self.coefficients[-1],
+                                time_stamp=self.times[-1], basis_id=self.basis_id)
 
 
 def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisSet,
@@ -239,78 +235,29 @@ class ExpansionArchive:
                 raise ValueError("windows must be contiguous")
         self.records.append(record)
 
-    @property
-    def t_start(self) -> float:
-        return self.records[0].window.start
-
-    @property
-    def t_end(self) -> float:
-        return self.records[-1].window.end
-
-    def locate(self, t: float) -> tuple[WindowRecord, int]:
-        """Window containing t and the index of the nearest stored output time."""
-        if not self.records:
-            raise ValueError("archive is empty")
-        eps = 1e-9 * max(1.0, abs(t))
-        if t < self.t_start - eps or t > self.t_end + eps:
-            raise ValueError(f"time {t} outside archive range [{self.t_start}, {self.t_end}]")
-        record = next(r for r in self.records if t <= r.window.end + eps)
-        times = np.asarray(record.trajectory.times)
-        return record, int(np.argmin(np.abs(times - t)))
-
-    def coefficients_at(self, t: float) -> tuple[WindowRecord, np.ndarray]:
-        record, idx = self.locate(t)
-        return record, record.trajectory.coefficients[idx]
-
-    def mean_square_expectation(self, x_index: int, t: float) -> float:
-        """E[u(x, t, .)^2] evaluated as u_hat^T * mass * u_hat at the grid point."""
-        record, coeffs = self.coefficients_at(t)
-        u_hat = coeffs[:, x_index]
-        return float(u_hat @ record.matrices.mass @ u_hat)
-
-    def mean(self, x_index: int, t: float) -> float:
-        """E[u(x, t, .)] via the basis expectations E[Psi_i]."""
-        record, coeffs = self.coefficients_at(t)
-        g = record.basis.values.T @ record.basis.rule.weights
-        return float(g @ coeffs[:, x_index])
-
-    def all_output_times(self) -> np.ndarray:
-        """Stored output times across windows, deduplicated at the seams."""
-        times: list[float] = []
-        for record in self.records:
-            for t in record.trajectory.times:
-                if not times or t > times[-1] + 1e-12:
-                    times.append(float(t))
-        return np.array(times)
-
     def statistic_series(self, x_index: int, statistic: str = "mean_square"):
-        """Time series (times, values) of a statistic at one grid point."""
-        fn = {"mean_square": self.mean_square_expectation, "mean": self.mean}[statistic]
-        times = self.all_output_times()
-        values = np.array([fn(x_index, t) for t in times])
-        return times, values
+        """Time series (times, values) of a statistic at one grid point.
+
+        mean_square is E[u(x, t, .)^2] = u_hat^T * mass * u_hat; mean is
+        E[u(x, t, .)] via the basis expectations E[Psi_i]. One walk over the
+        windows: a window's output times at or before the last kept time are
+        skipped, so a seam keeps the earlier window's value.
+        """
+        if statistic not in ("mean_square", "mean"):
+            raise ValueError(f"unknown statistic {statistic!r}")
+        times: list[float] = []
+        values: list[float] = []
+        for record in self.records:
+            mass = record.matrices.mass
+            g = record.basis.values.T @ record.basis.rule.weights
+            for t, coeffs in zip(record.trajectory.times, record.trajectory.coefficients):
+                if times and t <= times[-1] + 1e-12:
+                    continue
+                u_hat = coeffs[:, x_index]
+                values.append(float(u_hat @ mass @ u_hat) if statistic == "mean_square"
+                              else float(g @ u_hat))
+                times.append(float(t))
+        return np.array(times), np.array(values)
 
     def basis_counts(self) -> np.ndarray:
         return np.array([record.basis.size for record in self.records])
-
-    def to_json(self) -> str:
-        rule = self.records[0].basis.rule
-        payload = {
-            "rule": {
-                "nodes": rule.nodes.tolist(),
-                "weights": rule.weights.tolist(),
-                "interval": [rule.interval.lower, rule.interval.upper],
-            },
-            "windows": [
-                {
-                    "t_start": record.window.start,
-                    "t_end": record.window.end,
-                    "basis_values": record.basis.values.tolist(),
-                    "singular_values": record.basis.singular_values.tolist(),
-                    "times": list(record.trajectory.times),
-                    "coefficients": record.trajectory.coefficients.tolist(),
-                }
-                for record in self.records
-            ],
-        }
-        return json.dumps(payload)

@@ -70,10 +70,6 @@ class GpcSystem:
     times: tuple
     coefficients: np.ndarray  # (n_times, order, M)
 
-    def coefficients_at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.coefficients[idx]
-
 
 def solve_gpc(
     problem: PdeProblem,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from empchaos import cli
+from empchaos.basis_evolution import SingularBlock
 from empchaos.cli import ConfigError, ExperimentConfig
 from empchaos.pde_core import wave_exact_mean_square
 
@@ -115,7 +116,7 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         expected = {"mean_square.csv", "mean.csv", "basis_counts.csv",
-                    "archive.json", "singular_values_window_0000.csv",
+                    "singular_values_window_0000.csv",
                     "singular_values_window_0001.csv"}
         assert expected <= set(manifest["files"])
         for name in manifest["files"]:
@@ -123,6 +124,43 @@ class TestRunCommand:
         header, columns = read_csv(out / "basis_counts.csv")
         assert header == ["window", "t_start", "t_end", "basis_count"]
         assert columns.shape[1] == 2  # one row per window
+
+    def test_singular_values_only_for_pod_windows(self, tmp_path):
+        # windows [0, 1] and [2, 3] resample; [1, 2] evolves in ten 0.1
+        # sub-windows (records 1-10), whose bases come from no SVD
+        out = tmp_path / "evolve"
+        code = cli.main(["run", "--solver", "empirical-evolve",
+                         "--schedule", "alternating", "--grid-size", "32",
+                         "--node-count", "20", "--t-final", "3.0",
+                         "--output-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        _, columns = read_csv(out / "basis_counts.csv")
+        assert columns.shape[1] == 12
+        sigma_files = {name for name in manifest["files"]
+                       if name.startswith("singular_values_window_")}
+        assert sigma_files == {"singular_values_window_0000.csv",
+                               "singular_values_window_0011.csv"}
+        assert set(manifest["files"]) == set(os.listdir(out)) - {"manifest.json"}
+
+    @pytest.mark.parametrize("error", [
+        SingularBlock("zero diagonal entry at index 2"),
+        OverflowError("matrix exponential overflowed during basis evolution"),
+    ], ids=["singular-block", "overflow"])
+    def test_basis_evolution_failure_writes_manifest(self, tmp_path, monkeypatch,
+                                                     error):
+        def failing_evolve(basis, pair, dt):
+            raise error
+
+        monkeypatch.setattr("empchaos.basis_evolution.evolve_basis", failing_evolve)
+        out = tmp_path / "evolve"
+        code = cli.main(["run", "--solver", "empirical-evolve", "--grid-size", "32",
+                         "--node-count", "20", "--t-final", "2.0",
+                         "--output-dir", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "solver-error"
+        assert manifest["error"] == str(error)
 
     def test_stage_timings_sum_close_to_total(self, tmp_path):
         out = tmp_path / "emp"

@@ -34,11 +34,11 @@ class TestStageTimings:
 
     def test_total_sums_all_stages(self):
         timings = StageTimings(sampling=1.0, svd=2.0, change_of_basis=3.0,
-                               rhs_assembly=4.0, propagation=5.0,
+                               assembly=4.0, propagation=5.0,
                                basis_evolution=6.0)
         assert timings.total == pytest.approx(21.0)
         assert set(timings.as_dict()) == {
-            "sampling", "svd", "change_of_basis", "rhs_assembly",
+            "sampling", "svd", "change_of_basis", "assembly",
             "propagation", "basis_evolution"}
 
 
@@ -120,7 +120,7 @@ class TestRunEmpiricalChaos:
         config = EmpiricalConfig(problem=wave, grid=grid, rule=rule_120,
                                  window_length=1.0, t_final=2.0)
         _, timings = run_schedule(config)
-        for stage in ("sampling", "svd", "change_of_basis", "rhs_assembly",
+        for stage in ("sampling", "svd", "change_of_basis", "assembly",
                       "propagation"):
             assert getattr(timings, stage) > 0.0
         assert timings.basis_evolution == 0.0

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -264,35 +262,58 @@ class TestArchiveStatistics:
     def test_initial_mean_square_wave(self, wave, rule_120):
         grid = SpatialGrid(64)
         archive = build_archive(wave, rule_120, grid, t_final=1.0)
-        assert archive.mean_square_expectation(0, 0.0) == pytest.approx(1.0, abs=1e-10)
+        times, values = archive.statistic_series(0, "mean_square")
+        assert times[0] == 0.0
+        assert values[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_initial_mean_square_advection_reaction(self, advection_reaction,
                                                     rule_300):
         grid = SpatialGrid(64)
         archive = build_archive(advection_reaction, rule_300, grid, t_final=1.0)
-        assert archive.mean_square_expectation(0, 0.0) == pytest.approx(6.25, abs=1e-9)
+        times, values = archive.statistic_series(0, "mean_square")
+        assert times[0] == 0.0
+        assert values[0] == pytest.approx(6.25, abs=1e-9)
 
     def test_initial_mean_is_ic(self, wave, rule_120):
         grid = SpatialGrid(64)
         archive = build_archive(wave, rule_120, grid, t_final=1.0)
-        assert archive.mean(3, 0.0) == pytest.approx(np.cos(grid.points[3]), abs=1e-9)
+        times, values = archive.statistic_series(3, "mean")
+        assert times[0] == 0.0
+        assert values[0] == pytest.approx(np.cos(grid.points[3]), abs=1e-9)
 
-    def test_out_of_range_raises(self, wave, rule_120):
-        grid = SpatialGrid(64)
+    def test_unknown_statistic_raises(self, wave, rule_120):
+        grid = SpatialGrid(32)
         archive = build_archive(wave, rule_120, grid, t_final=1.0)
-        with pytest.raises(ValueError):
-            archive.mean_square_expectation(0, 5.0)
+        with pytest.raises(ValueError, match="statistic"):
+            archive.statistic_series(0, "variance")
 
     def test_reconstruction_consistency(self, wave, rule_120):
         # u_hat^T M u_hat equals the quadrature expectation of the squared
-        # node reconstruction: two evaluation orders of one bilinear form
+        # node reconstruction: two evaluation orders of one bilinear form,
+        # checked at every output time of a three-window archive
         grid = SpatialGrid(64)
-        archive = build_archive(wave, rule_120, grid, t_final=1.0)
-        record, coeffs = archive.coefficients_at(0.6)
-        values = record.basis.reconstruct(coeffs)
-        direct = expectation(values[:, 5] ** 2, record.basis.rule)
-        assert archive.mean_square_expectation(5, 0.6) == pytest.approx(
-            float(direct), abs=1e-10)
+        archive = build_archive(wave, rule_120, grid, t_final=3.0)
+        assert len(archive.records) == 3
+        times, values = archive.statistic_series(5)
+        expected_times, direct = [], []
+        for k, record in enumerate(archive.records):
+            # a seam time belongs to the earlier window
+            first = 0 if k == 0 else 1
+            for t, coeffs in zip(record.trajectory.times[first:],
+                                 record.trajectory.coefficients[first:]):
+                values_at_nodes = record.basis.reconstruct(coeffs)
+                expected_times.append(t)
+                direct.append(float(expectation(values_at_nodes[:, 5] ** 2,
+                                                record.basis.rule)))
+        np.testing.assert_array_equal(times, expected_times)
+        np.testing.assert_allclose(values, direct, rtol=0.0, atol=1e-10)
+        # at a seam the value is the earlier window's, bit for bit
+        for prev, nxt in zip(archive.records, archive.records[1:]):
+            (index,) = np.flatnonzero(times == prev.window.end)
+            earlier = prev.trajectory.coefficients[-1][:, 5]
+            later = nxt.trajectory.coefficients[0][:, 5]
+            assert values[index] == float(earlier @ prev.matrices.mass @ earlier)
+            assert values[index] != float(later @ nxt.matrices.mass @ later)
 
     def test_contiguity_enforced(self, wave, rule_120):
         grid = SpatialGrid(64)
@@ -304,25 +325,6 @@ class TestArchiveStatistics:
             archive.append(WindowRecord(window=gap_window, basis=basis,
                                         trajectory=trajectory,
                                         matrices=archive.records[0].matrices))
-
-    def test_json_round_trip(self, wave, rule_120):
-        grid = SpatialGrid(32)
-        archive = build_archive(wave, rule_120, grid, t_final=2.0)
-        payload = json.loads(archive.to_json())
-        rule = archive.records[0].basis.rule
-        assert payload["rule"]["nodes"] == rule.nodes.tolist()
-        assert payload["rule"]["weights"] == rule.weights.tolist()
-        assert payload["rule"]["interval"] == [rule.interval.lower, rule.interval.upper]
-        assert len(payload["windows"]) == len(archive.records)
-        for item, record in zip(payload["windows"], archive.records):
-            assert item["t_start"] == record.window.start
-            assert item["t_end"] == record.window.end
-            assert item["times"] == list(record.trajectory.times)
-            np.testing.assert_array_equal(item["basis_values"], record.basis.values)
-            np.testing.assert_array_equal(item["singular_values"],
-                                          record.basis.singular_values)
-            np.testing.assert_array_equal(item["coefficients"],
-                                          record.trajectory.coefficients)
 
     def test_statistic_series_covers_all_windows(self, wave, rule_120):
         grid = SpatialGrid(32)
