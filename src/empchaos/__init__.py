@@ -2,17 +2,16 @@
 
 Time-windowed POD-derived stochastic bases propagated by non-orthogonal
 stochastic Galerkin systems, with generalized polynomial chaos and Monte Carlo
-reference solvers and a benchmarking CLI.
+reference solvers. The command-line runner is the ``empchaos.cli`` submodule,
+imported on its own.
 """
 
 __version__ = "0.1.0"
 
 from . import basis_evolution, driver, galerkin, gpc, montecarlo, pde_core, pod, random_space
-from . import cli
 
 __all__ = [
     "basis_evolution",
-    "cli",
     "driver",
     "galerkin",
     "gpc",

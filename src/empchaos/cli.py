@@ -4,10 +4,11 @@ Exposes every solver behind one command-line interface, writes plot-ready CSV
 and JSON artifacts, times the pipeline stages, runs wall-clock scaling studies
 over a set of final times, and compares statistic time series between runs.
 
-Exit codes: 0 success, 1 invalid configuration or input the solver rejects
-(such as a step that breaks the CFL bound), 2 solver divergence, an
-ill-conditioned basis or a failed basis evolution (a singular Gram block or an
-overflowing matrix exponential), 3 comparison failure.
+Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
+config file or series CSV, or input the solver rejects (such as a step that
+breaks the CFL bound), 2 solver divergence, an ill-conditioned basis or a
+failed basis evolution (a singular Gram block or an overflowing matrix
+exponential), 3 comparison failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,12 @@ _SCHEDULES = {
     "always-resample": driver.always_resample,
     "alternating": driver.alternating_schedule,
 }
+# the allowed values of the config fields that name a choice
+_CHOICES = {
+    "problem": sorted(_PROBLEMS),
+    "solver": list(_SOLVERS),
+    "schedule": sorted(_SCHEDULES),
+}
 # node count and window length default per problem when left unset
 _DEFAULT_NODES = {"wave": 120, "advection-reaction": 300}
 _DEFAULT_WINDOW = {"wave": 1.0, "advection-reaction": 2.0}
@@ -86,43 +94,35 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self) -> None:
-        if self.problem not in _PROBLEMS:
-            raise ConfigError(f"problem: unknown value {self.problem!r}, "
-                              f"expected one of {sorted(_PROBLEMS)}")
-        if self.solver not in _SOLVERS:
-            raise ConfigError(f"solver: unknown value {self.solver!r}, "
-                              f"expected one of {list(_SOLVERS)}")
-        if self.schedule not in _SCHEDULES:
-            raise ConfigError(f"schedule: unknown value {self.schedule!r}, "
-                              f"expected one of {sorted(_SCHEDULES)}")
-        if self.grid_size < 3:
-            raise ConfigError("grid_size: must be at least 3")
-        if self.node_count is not None and self.node_count < 2:
-            raise ConfigError("node_count: must be at least 2")
-        if self.order < 1:
-            raise ConfigError("order: must be at least 1")
-        if self.window_length is not None and self.window_length <= 0:
-            raise ConfigError("window_length: must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold: must lie in (0, 1)")
-        if self.basis_cap is not None and self.basis_cap < 1:
-            raise ConfigError("basis_cap: must be at least 1")
-        if self.t_final <= self.t_start:
-            raise ConfigError("t_final: must exceed t_start")
-        if self.step is not None and self.step <= 0:
-            raise ConfigError("step: must be positive")
-        if self.sample_count < 1:
-            raise ConfigError("sample_count: must be at least 1")
-        if self.outputs_per_window < 2:
-            raise ConfigError("outputs_per_window: must be at least 2")
-        if self.x_index < 0 or self.x_index >= self.grid_size:
-            raise ConfigError("x_index: must lie in [0, grid_size)")
-        if self.solver == "exact" and self.problem != "wave":
-            raise ConfigError("solver: exact statistics are only available for "
-                              "the wave problem")
-        if self.solver == "empirical-evolve" and self.problem != "wave":
-            raise ConfigError("solver: basis evolution is only available for "
-                              "the wave problem")
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"{name}: unknown value {value!r}, "
+                                  f"expected one of {choices}")
+        wave_only = "only available for the wave problem"
+        failures = [
+            (self.grid_size < 3, "grid_size: must be at least 3"),
+            (self.node_count is not None and self.node_count < 2,
+             "node_count: must be at least 2"),
+            (self.order < 1, "order: must be at least 1"),
+            (self.window_length is not None and self.window_length <= 0,
+             "window_length: must be positive"),
+            (not 0.0 < self.threshold < 1.0, "threshold: must lie in (0, 1)"),
+            (self.basis_cap is not None and self.basis_cap < 1,
+             "basis_cap: must be at least 1"),
+            (self.t_final <= self.t_start, "t_final: must exceed t_start"),
+            (self.step is not None and self.step <= 0, "step: must be positive"),
+            (self.sample_count < 1, "sample_count: must be at least 1"),
+            (self.outputs_per_window < 2, "outputs_per_window: must be at least 2"),
+            (not 0 <= self.x_index < self.grid_size, "x_index: must lie in [0, grid_size)"),
+            (self.solver == "exact" and self.problem != "wave",
+             f"solver: exact statistics are {wave_only}"),
+            (self.solver == "empirical-evolve" and self.problem != "wave",
+             f"solver: basis evolution is {wave_only}"),
+        ]
+        for failed, message in failures:
+            if failed:
+                raise ConfigError(message)
 
     @property
     def resolved_node_count(self) -> int:
@@ -136,16 +136,44 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path) as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
+        """Config from a JSON object of field values; an int may stand for a
+        float, and null only for a field that may be unset."""
+        try:
+            payload = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config file {path}: expected a JSON object of fields")
+        types = _field_types()
+        unknown = sorted(set(payload) - set(types))
         if unknown:
             raise ConfigError(f"config file {path}: unknown fields {unknown}")
+        for name, value in payload.items():
+            kind, optional = types[name]
+            accepted = (int, float) if kind is float else kind
+            if not (optional if value is None else
+                    isinstance(value, accepted) and not isinstance(value, bool)):
+                raise ConfigError(f"config file {path}: {name}: expected {kind.__name__}"
+                                  f"{' or null' if optional else ''}, got {value!r}")
         return cls(**payload)
+
+
+def _field_types() -> dict[str, tuple[type, bool]]:
+    """(value type, may be None) of each config field, in field order."""
+    types = {}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        options = typing.get_args(hint) or (hint,)
+        types[name] = (options[0], type(None) in options)
+    return types
+
+
+def _read_text(path: str) -> str:
+    """The file's text; a file that cannot be read is a ConfigError."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read ({exc})") from exc
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -190,15 +218,16 @@ def write_series(path: str, times, values, stderr=None) -> None:
 
 def _read_series(path: str):
     """Parse a statistic CSV; returns (times, values) ignoring any stderr column."""
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if not header.startswith("t,value"):
-            raise ConfigError(f"{path}: expected header 't,value[,stderr]', got {header!r}")
-        rows = [line.split(",") for line in handle if line.strip()]
+    header, *lines = _read_text(path).splitlines() or [""]
+    if not header.startswith("t,value"):
+        raise ConfigError(f"{path}: expected header 't,value[,stderr]', got {header!r}")
+    rows = [line.split(",") for line in lines if line.strip()]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    times = np.array([float(r[0]) for r in rows])
-    values = np.array([float(r[1]) for r in rows])
+    try:
+        times, values = np.array([[float(r[0]), float(r[1])] for r in rows]).T
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{path}: malformed data row ({exc})") from exc
     return times, values
 
 
@@ -228,25 +257,31 @@ def _empirical_artifacts(config: ExperimentConfig, archive, out: str) -> list[st
     return files
 
 
-def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
-    """Run the configured solver and write its artifacts.
-
-    Returns (files, timings, extra manifest fields).
-    """
-    problem = _PROBLEMS[config.problem]()
-    grid = pde_core.SpatialGrid(config.grid_size)
-    rule = random_space.trapezoid_rule(
-        random_space.chebyshev_nodes(config.resolved_node_count))
+def _empirical_config(config: ExperimentConfig) -> driver.EmpiricalConfig:
+    """The windowed empirical run the config describes, on its problem, grid
+    and Chebyshev trapezoid rule."""
     schedule = (_SCHEDULES[config.schedule] if config.solver == "empirical-evolve"
                 else driver.always_resample)
-    emp_config = driver.EmpiricalConfig(
-        problem=problem, grid=grid, rule=rule,
+    return driver.EmpiricalConfig(
+        problem=_PROBLEMS[config.problem](),
+        grid=pde_core.SpatialGrid(config.grid_size),
+        rule=random_space.trapezoid_rule(
+            random_space.chebyshev_nodes(config.resolved_node_count)),
         window_length=config.resolved_window_length,
         t_final=config.t_final, t_start=config.t_start,
         threshold=config.threshold, basis_cap=config.basis_cap,
         step=config.step, outputs_per_window=config.outputs_per_window,
         schedule=schedule,
     )
+
+
+def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
+    """Run the configured solver and write its artifacts.
+
+    Returns (files, timings, extra manifest fields).
+    """
+    emp_config = _empirical_config(config)
+    problem, grid = emp_config.problem, emp_config.grid
 
     if config.solver in ("empirical", "empirical-evolve"):
         archive, timings = driver.run_schedule(emp_config)
@@ -273,11 +308,10 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
         return ["mean_square.csv", "mean.csv"], {"evaluation": seconds}, {}
 
     if config.solver == "gpc":
-        rule = gpc.default_rule(config.resolved_node_count)
         step = config.step if config.step is not None else pde_core.default_step(grid)
         tic = time.perf_counter()
-        system = gpc.solve_gpc(problem, config.order, grid, window, step, rule,
-                               order_cap=config.order_cap)
+        system = gpc.solve_gpc(problem, config.order, grid, window, step,
+                               emp_config.rule, order_cap=config.order_cap)
         propagation = time.perf_counter() - tic
         tic = time.perf_counter()
         write_series(os.path.join(out, "mean_square.csv"), times,
@@ -321,28 +355,23 @@ def run_experiment(config: ExperimentConfig) -> int:
         "stage_seconds": {},
         "total_seconds": 0.0,
     }
+    code = EXIT_OK
     tic = time.perf_counter()
     try:
         files, stage_seconds, extra = _solve(config, out)
+        manifest.update(files=files, stage_seconds=stage_seconds, **extra)
     except (IntegrationDiverged, IllConditionedBasis, SingularBlock, OverflowError,
             ValueError) as exc:
         # a ValueError is a setting the solver rejects, such as a step that
         # breaks the CFL bound or misses the output times
         invalid = isinstance(exc, ValueError)
-        manifest["status"] = "invalid-input" if invalid else "solver-error"
-        manifest["error"] = str(exc)
-        manifest["total_seconds"] = time.perf_counter() - tic
-        _write_text(os.path.join(out, "manifest.json"),
-                    json.dumps(manifest, indent=2) + "\n")
+        manifest.update(status="invalid-input" if invalid else "solver-error",
+                        error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION if invalid else EXIT_DIVERGED
+        code = EXIT_VALIDATION if invalid else EXIT_DIVERGED
     manifest["total_seconds"] = time.perf_counter() - tic
-    manifest["files"] = files
-    manifest["stage_seconds"] = stage_seconds
-    manifest.update(extra)
-    _write_text(os.path.join(out, "manifest.json"),
-                json.dumps(manifest, indent=2) + "\n")
-    return EXIT_OK
+    _write_text(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    return code
 
 
 def compare_series(path_a: str, path_b: str, tolerance: float) -> dict:
@@ -398,21 +427,14 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
         raise ConfigError("horizons: every value must exceed t_start")
     config.validate()
 
-    problem = _PROBLEMS[config.problem]()
-    grid = pde_core.SpatialGrid(config.grid_size)
-    rule = random_space.trapezoid_rule(
-        random_space.chebyshev_nodes(config.resolved_node_count))
+    base = _empirical_config(config)
+    problem, grid, rule = base.problem, base.grid, base.rule
     step = config.step if config.step is not None else pde_core.default_step(grid)
 
     rows = []
     for t_final in horizons:
-        emp_config = driver.EmpiricalConfig(
-            problem=problem, grid=grid, rule=rule,
-            window_length=config.resolved_window_length,
-            t_final=t_final, t_start=config.t_start,
-            threshold=config.threshold, basis_cap=config.basis_cap,
-            step=step, outputs_per_window=config.outputs_per_window,
-        )
+        emp_config = dataclasses.replace(base, t_final=t_final,
+                                         schedule=driver.always_resample)
         tic = time.perf_counter()
         archive, _ = driver.run_schedule(emp_config)
         emp_seconds = time.perf_counter() - tic
@@ -450,43 +472,20 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
 
 def write_scaling_artifacts(report: dict, out: str) -> None:
     os.makedirs(out, exist_ok=True)
-    rows = report["rows"]
-    with_gpc = "gpc_seconds" in rows[0]
-    header = "t_final,empirical_seconds,max_basis_count"
-    if with_gpc:
-        header += ",gpc_seconds,gpc_order"
-    lines = [header]
-    for row in rows:
-        line = (f"{_format(row['t_final'])},{_format(row['empirical_seconds'])},"
-                f"{row['max_basis_count']}")
-        if with_gpc:
-            line += f",{_format(row['gpc_seconds'])},{row['gpc_order']}"
-        lines.append(line)
+    columns = list(report["rows"][0])
+    lines = [",".join(columns)]
+    lines += [",".join(_format(row[name]) for name in columns) for row in report["rows"]]
     _write_text(os.path.join(out, "scaling.csv"), "\n".join(lines) + "\n")
     _write_text(os.path.join(out, "scaling_report.json"),
                 json.dumps(report, indent=2) + "\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` and one flag per config field, named after the field."""
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--problem", choices=sorted(_PROBLEMS))
-    parser.add_argument("--solver", choices=list(_SOLVERS))
-    parser.add_argument("--grid-size", dest="grid_size", type=int)
-    parser.add_argument("--node-count", dest="node_count", type=int)
-    parser.add_argument("--order", type=int)
-    parser.add_argument("--order-cap", dest="order_cap", type=int)
-    parser.add_argument("--window-length", dest="window_length", type=float)
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--basis-cap", dest="basis_cap", type=int)
-    parser.add_argument("--schedule", choices=sorted(_SCHEDULES))
-    parser.add_argument("--t-final", dest="t_final", type=float)
-    parser.add_argument("--t-start", dest="t_start", type=float)
-    parser.add_argument("--step", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--sample-count", dest="sample_count", type=int)
-    parser.add_argument("--outputs-per-window", dest="outputs_per_window", type=int)
-    parser.add_argument("--x-index", dest="x_index", type=int)
-    parser.add_argument("--output-dir", dest="output_dir")
+    for name, (kind, _) in _field_types().items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                            choices=_CHOICES.get(name))
 
 
 class _Parser(argparse.ArgumentParser):

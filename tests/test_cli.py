@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -87,6 +88,103 @@ class TestConfigFile:
 
     def test_unknown_flag_exits_validation(self):
         assert cli.main(["run", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("grid_size", "64"),
+        ("grid_size", 32.5),
+        ("grid_size", True),
+        ("t_final", False),
+        ("order", None),
+        ("problem", 5),
+        ("output_dir", ["results"]),
+    ], ids=["grid_size-str", "grid_size-float", "grid_size-bool", "t_final-bool",
+            "order-null", "problem-int", "output_dir-list"])
+    def test_value_of_wrong_type_rejected_by_name(self, tmp_path, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_json(str(path))
+
+    @pytest.mark.parametrize("payload", [5, [], None], ids=["int", "list", "null"])
+    def test_non_object_payload_rejected(self, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="object"):
+            ExperimentConfig.from_json(str(path))
+
+    def test_wrong_type_exits_validation(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid_size": "64"}))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "grid_size" in capsys.readouterr().err
+
+    def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"t_final": 2, "node_count": None,
+                                    "step": None}))
+        config = ExperimentConfig.from_json(str(path))
+        assert config.t_final == 2
+        assert config.node_count is None and config.step is None
+
+    def test_missing_config_file_exits_validation(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+
+class TestFlags:
+    # every config field's flag, written out so that renaming a field
+    # cannot silently rename its flag: (flag, dest, type, choices, value)
+    FLAGS = [
+        ("--problem", "problem", str, ["advection-reaction", "wave"], "wave"),
+        ("--solver", "solver", str,
+         ["empirical", "empirical-evolve", "gpc", "mc", "exact"], "gpc"),
+        ("--grid-size", "grid_size", int, None, "64"),
+        ("--node-count", "node_count", int, None, "40"),
+        ("--order", "order", int, None, "12"),
+        ("--order-cap", "order_cap", int, None, "200"),
+        ("--window-length", "window_length", float, None, "0.5"),
+        ("--threshold", "threshold", float, None, "1e-5"),
+        ("--basis-cap", "basis_cap", int, None, "9"),
+        ("--schedule", "schedule", str, ["alternating", "always-resample"],
+         "always-resample"),
+        ("--t-final", "t_final", float, None, "3"),
+        ("--t-start", "t_start", float, None, "0.5"),
+        ("--step", "step", float, None, "0.01"),
+        ("--seed", "seed", int, None, "7"),
+        ("--sample-count", "sample_count", int, None, "500"),
+        ("--outputs-per-window", "outputs_per_window", int, None, "6"),
+        ("--x-index", "x_index", int, None, "3"),
+        ("--output-dir", "output_dir", str, None, "results/x"),
+    ]
+
+    @staticmethod
+    def subparser(command):
+        parser = cli._build_parser()
+        (commands,) = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        return commands.choices[command]
+
+    @pytest.mark.parametrize("command", ["run", "exact", "scaling-study"])
+    def test_config_flags_listed(self, command):
+        flags = {action.option_strings[0]: (action.dest, action.choices)
+                 for action in self.subparser(command)._actions
+                 if action.option_strings}
+        for extra in ("-h", "--config", "--horizons", "--no-gpc", "--order-factor"):
+            flags.pop(extra, None)
+        assert flags == {flag: (dest, choices)
+                         for flag, dest, _, choices, _ in self.FLAGS}
+
+    @pytest.mark.parametrize("flag,dest,kind,choices,value", FLAGS,
+                             ids=[row[0] for row in FLAGS])
+    def test_flag_parses_its_type(self, flag, dest, kind, choices, value):
+        args = cli._build_parser().parse_args(["run", flag, value])
+        parsed = getattr(args, dest)
+        assert type(parsed) is kind
+        assert parsed == kind(value)
+        if choices is not None:
+            with pytest.raises(ConfigError, match="invalid choice"):
+                cli._build_parser().parse_args(["run", flag, "bogus"])
 
 
 class TestExactCommand:
@@ -303,6 +401,21 @@ class TestCompareCommand:
         report = json.loads(report_path.read_text())
         assert report["max_abs"] == pytest.approx(0.5, abs=1e-12)
         assert not report["passed"]
+
+    def test_missing_file_exits_validation(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        cli.write_series(str(a), [0.0, 1.0], [1.0, 1.0])
+        missing = tmp_path / "missing.csv"
+        assert cli.main(["compare", str(missing), str(a)]) == 1
+        assert str(missing) in capsys.readouterr().err
+
+    def test_non_numeric_row_exits_validation(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        cli.write_series(str(a), [0.0, 1.0], [1.0, 1.0])
+        b.write_text("t,value\n0,1\n1,one\n")
+        assert cli.main(["compare", str(a), str(b)]) == 1
+        assert str(b) in capsys.readouterr().err
 
     def test_disjoint_ranges_exit_validation(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -1,0 +1,52 @@
+"""The module entry point, the package import and the experiment scripts, each
+run in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import empchaos
+
+SRC = Path(empchaos.__file__).resolve().parents[1]
+SCRIPTS = SRC.parent / "scripts"
+
+
+def python(*args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    result = python("-W", "error::RuntimeWarning", "-m", "empchaos.cli", "exact",
+                    "--t-final", "1", "--grid-size", "16",
+                    "--output-dir", str(tmp_path / "exact"), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "exact" / "manifest.json").exists()
+
+
+def test_package_import_leaves_cli_unloaded(tmp_path):
+    result = python("-c", "import sys, empchaos; print('empchaos.cli' in sys.modules)",
+                    cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_advection_reaction_script(tmp_path):
+    result = python(str(SCRIPTS / "advection_reaction_experiment.py"),
+                    "--t-final", "2", "--grid-size", "64", "--node-count", "60",
+                    "--samples", "200", "--output-dir", str(tmp_path / "ar"),
+                    cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert {"empirical_mean_square.csv", "mc_mean_square.csv"} <= set(
+        os.listdir(tmp_path / "ar"))
+
+
+def test_basis_evolution_script(tmp_path):
+    result = python(str(SCRIPTS / "basis_evolution_experiment.py"),
+                    "--t-final", "2", "--grid-size", "32", "--node-count", "40",
+                    cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert len(result.stdout.splitlines()) == 4
