@@ -6,9 +6,9 @@ over a set of final times, and compares statistic time series between runs.
 
 Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
 config file or series CSV, or input the solver rejects (such as a step that
-breaks the CFL bound), 2 solver divergence, an ill-conditioned basis or a
+breaks the CFL bound), 2 solver divergence, an ill-conditioned basis, a
 failed basis evolution (a singular Gram block or an overflowing matrix
-exponential), 3 comparison failure.
+exponential) or a Monte Carlo worker process that died, 3 comparison failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 import tempfile
 import time
 import typing
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,7 +338,7 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
     write_series(os.path.join(out, "mean.csv"), t, mean, mean_err)
     export = time.perf_counter() - tic
     counts = {"sample_count": result.sample_count,
-              "diverged_count": result.diverged_count}
+              "diverged_count": result.diverged_count, "workers": result.workers}
     return (["mean_square.csv", "mean.csv"], {"sampling": seconds, "export": export},
             {"monte_carlo": counts})
 
@@ -361,7 +362,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         files, stage_seconds, extra = _solve(config, out)
         manifest.update(files=files, stage_seconds=stage_seconds, **extra)
     except (IntegrationDiverged, IllConditionedBasis, SingularBlock, OverflowError,
-            ValueError) as exc:
+            BrokenExecutor, ValueError) as exc:
         # a ValueError is a setting the solver rejects, such as a step that
         # breaks the CFL bound or misses the output times
         invalid = isinstance(exc, ValueError)

@@ -8,6 +8,9 @@ sample-major (samples contiguous) in preallocated stage buffers. The wave
 operator is linear and its central difference is circulant, so its RK4 steps
 are applied in Fourier space: each mode is multiplied by a power of the RK4
 stability polynomial, which gives the marched solution without the march.
+Both ensemble kernels hand the states at each output time to a ``record``
+callable, so a caller can reduce them as they come instead of holding every
+output.
 """
 
 from __future__ import annotations
@@ -227,6 +230,24 @@ def integrate_ode(
     return out
 
 
+# record(j, first, rows): rows[i] is the state of row first + i at output j
+Record = Callable[[int, int, np.ndarray], None]
+
+
+def _recorder(window: TimeWindow, shape: tuple,
+              record: Record | None) -> tuple[np.ndarray | None, Record]:
+    """The kernels' output sink: ``record`` itself, or by default one that
+    writes into a new (n_output_times,) + shape array, returned with it."""
+    if record is not None:
+        return None, record
+    out = np.empty((len(window.output_times),) + shape)
+
+    def write(j: int, first: int, rows: np.ndarray) -> None:
+        out[j, first:first + len(rows)] = rows
+
+    return out, write
+
+
 def integrate_advection(
     speeds: np.ndarray,
     initial: np.ndarray,
@@ -235,7 +256,8 @@ def integrate_advection(
     step: float,
     eigenvectors: tuple[np.ndarray, np.ndarray] | None = None,
     check: bool = True,
-) -> np.ndarray:
+    record: Record | None = None,
+) -> np.ndarray | None:
     """Classical fixed-step RK4 for u_t = V * diag(speeds) * V^-1 * (D u).
 
     ``initial`` holds one state of length M per row; D is the periodic central
@@ -245,7 +267,8 @@ def integrate_advection(
     stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
     z = i*speed*step*sin(k*h)/h, and n steps by R(z)^n. The step is planned
     as in ``integrate_ode``, and the step-0 output is the initial state
-    itself. Returns the states with the output-time axis first.
+    itself. Each output's rows go to ``record(j, 0, rows)``; by default they
+    are written into the returned (n_output_times, K, M) array.
     """
     state = np.array(initial, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
@@ -253,7 +276,7 @@ def integrate_advection(
         raise ValueError(f"initial has shape {state.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
     actual, outputs = _plan_steps(window, step)
-    out = np.empty((len(window.output_times),) + state.shape)
+    out, record = _recorder(window, state.shape, record)
     modes = np.arange(grid.point_count // 2 + 1)
     z = 1j * actual * np.multiply.outer(speeds, np.sin(modes * grid.spacing) / grid.spacing)
     growth = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
@@ -265,16 +288,17 @@ def integrate_advection(
     done = 0
     for k, j in outputs:
         if k == 0:
-            out[j] = state
+            record(j, 0, state)
             continue
         if k - done not in powers:
             powers[k - done] = growth ** (k - done)
         spectrum *= powers[k - done]
         done = k
-        rows = spectrum if eigenvectors is None else vecs @ spectrum
-        out[j] = np.fft.irfft(rows, n=grid.point_count, axis=-1)
-        if check and not np.all(np.isfinite(out[j])):
+        mixed = spectrum if eigenvectors is None else vecs @ spectrum
+        rows = np.fft.irfft(mixed, n=grid.point_count, axis=-1)
+        if check and not np.all(np.isfinite(rows)):
             raise IntegrationDiverged(window.start + k * actual)
+        record(j, 0, rows)
     return out
 
 
@@ -301,7 +325,8 @@ def integrate_reaction(
     grid: SpatialGrid,
     step: float,
     check: bool = True,
-) -> np.ndarray:
+    record: Record | None = None,
+) -> np.ndarray | None:
     """Classical fixed-step RK4 for u_t = speed * (D u) + problem.reaction(u).
 
     ``initial`` holds one state of length M per row, marched with the speed
@@ -313,8 +338,9 @@ def integrate_reaction(
     result is bit-identical to that march. The step is planned as in
     ``integrate_ode``, and the step-0 output is the initial state itself.
     With ``check``, raises ``IntegrationDiverged`` at the earliest step at
-    which any row is non-finite. Returns the states with the output-time
-    axis first.
+    which any row is non-finite. Each block's states at each output go to
+    ``record(j, first, rows)``, block after block in row order; by default
+    they are written into the returned (n_output_times, K, M) array.
     """
     initial = np.asarray(initial, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
@@ -324,9 +350,7 @@ def integrate_reaction(
     actual, outputs = _plan_steps(window, step)
     n_steps = int(round(window.length / actual))
     pending = dict(outputs)
-    out = np.empty((len(window.output_times),) + initial.shape)
-    if 0 in pending:
-        out[pending.pop(0)] = initial
+    out, record = _recorder(window, initial.shape, record)
     points = grid.point_count
     size = max(1, _BLOCK_ENTRIES // points)
     buffers = np.empty(6 * points * min(size, speeds.size))
@@ -339,6 +363,8 @@ def integrate_reaction(
         shape = (6, points, speed.size)
         k1, k2, k3, k4, stage, scratch = buffers[:np.prod(shape)].reshape(shape)
         state = initial[first:first + size].T.copy()
+        if 0 in pending:
+            record(pending[0], first, state.T)
         for k in range(1, n_steps + 1):
             _reaction_rhs(problem, grid, speed, state, k1, scratch)
             np.multiply(k1, half, out=stage)
@@ -363,7 +389,7 @@ def integrate_reaction(
                 diverged = min(diverged, k)
                 break
             if k in pending:
-                out[pending[k], first:first + size] = state.T
+                record(pending[k], first, state.T)
     if diverged <= n_steps:
         raise IntegrationDiverged(window.start + diverged * actual)
     return out
@@ -392,7 +418,8 @@ def solve_ensemble(
     grid: SpatialGrid,
     step: float | None = None,
     check: bool = True,
-) -> np.ndarray:
+    record: Record | None = None,
+) -> np.ndarray | None:
     """Solve the deterministic PDE for many samples at once.
 
     The samples do not couple, so the stacked RK4 solve performs exactly the
@@ -400,7 +427,8 @@ def solve_ensemble(
     problem, and through ``integrate_reaction``, which marches the samples in
     cache-sized blocks held sample-major, for the advection-reaction
     problem. ``initial`` is either one state of length M (shared by all
-    samples) or an array of shape (K, M). Returns (n_output_times, K, M).
+    samples) or an array of shape (K, M). Returns (n_output_times, K, M),
+    or hands the states to ``record`` as the kernels describe.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     initial = np.asarray(initial, dtype=float)
@@ -414,8 +442,10 @@ def solve_ensemble(
     if cfl > 0.5 + 1e-12:
         raise ValueError(f"CFL number {cfl:.3f} exceeds 1/2; reduce the step")
     if not problem.has_reaction:
-        return integrate_advection(xis, initial, window, grid, step, check=check)
-    return integrate_reaction(problem, xis, initial, window, grid, step, check=check)
+        return integrate_advection(xis, initial, window, grid, step, check=check,
+                                   record=record)
+    return integrate_reaction(problem, xis, initial, window, grid, step, check=check,
+                              record=record)
 
 
 def wave_exact_mean_square(t, x: float = 0.0):

@@ -129,7 +129,8 @@ def _advection_reaction_comparison(grid_size, t_final, step, sigma_limit):
     max_basis = int(np.max(archive.basis_counts()))
     times, values = archive.statistic_series(0)
     window = TimeWindow(0.0, t_final, tuple(times))
-    # modest chunks keep the (times x chunk x grid) solution block in memory
+    # ten chunks: the units of work shared by the worker processes, merged
+    # in chunk order
     mc = mc_statistics(McConfig(problem=problem, grid=SpatialGrid(grid_size),
                                 window=window, sample_count=10_000, seed=0,
                                 step=step, chunk_size=1_000))

@@ -12,6 +12,10 @@ from empchaos.cli import ConfigError, ExperimentConfig
 from empchaos.pde_core import wave_exact_mean_square
 
 
+def _exit_at_once(*args):
+    os._exit(1)
+
+
 def read_csv(path):
     with open(path) as handle:
         header = handle.readline().strip().split(",")
@@ -309,7 +313,8 @@ class TestRunCommand:
                          "--output-dir", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["monte_carlo"] == {"sample_count": 50, "diverged_count": 0}
+        assert manifest["monte_carlo"] == {"sample_count": 50, "diverged_count": 0,
+                                           "workers": 1}
 
     def test_mc_manifest_records_divergence(self, tmp_path, monkeypatch):
         solve = cli.montecarlo.mc_statistics
@@ -325,7 +330,21 @@ class TestRunCommand:
                          "--sample-count", "20", "--t-final", "1.0",
                          "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["monte_carlo"] == {"sample_count": 17, "diverged_count": 3}
+        assert manifest["monte_carlo"] == {"sample_count": 17, "diverged_count": 3,
+                                           "workers": 1}
+
+    def test_mc_dead_worker_writes_solver_error_manifest(self, tmp_path, monkeypatch):
+        # the forked workers inherit the patched chunk solver
+        monkeypatch.setattr(cli.montecarlo, "_chunk_moments", _exit_at_once)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "mc"
+        code = cli.main(["run", "--solver", "mc", "--grid-size", "32",
+                         "--sample-count", "5001", "--t-final", "1.0",
+                         "--output-dir", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "solver-error"
+        assert "terminated abruptly" in manifest["error"]
 
     def test_mc_all_diverged_writes_solver_error_manifest(self, tmp_path, monkeypatch):
         def all_diverged(config):

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from empchaos.pde_core import (
     PdeProblem,
     SpatialGrid,
     TimeWindow,
+    solve_ensemble,
     solve_fixed_xi,
     wave_exact_mean_square,
 )
@@ -123,3 +127,90 @@ class TestDivergenceHandling:
                                         window=window, sample_count=10, seed=0))
         with pytest.raises(ValueError):
             result.series(0, "variance")
+
+
+class TestStableMoments:
+    # u = cos + 1e6: raw power sums of u^2 cancel every digit of its variance,
+    # the merged (count, mean, M2) keep them
+    @pytest.mark.parametrize("kind,grid_size,samples,chunk", [
+        ("Wave", 32, 400, 100),
+        # at M = 64 the reaction kernel marches 512-sample blocks: each chunk
+        # merges a full and a ragged block
+        ("AdvectionReaction", 64, 1200, 600),
+    ], ids=["wave", "reaction-blocks"])
+    def test_matches_two_pass_at_large_offset(self, kind, grid_size, samples, chunk):
+        problem = PdeProblem(kind=kind, initial_condition=lambda x: np.cos(x) + 1e6,
+                             reaction_coefficient=0.1)
+        grid = SpatialGrid(grid_size)
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
+        result = mc_statistics(McConfig(problem=problem, grid=grid, window=window,
+                                        sample_count=samples, seed=8, step=1e-2,
+                                        chunk_size=chunk))
+        rng = np.random.Generator(np.random.Philox(8))
+        states = solve_ensemble(problem, rng.uniform(-1.0, 1.0, samples),
+                                np.cos(grid.points) + 1e6, window, grid, step=1e-2)
+        np.testing.assert_allclose(result.mean, states.mean(axis=1), rtol=1e-13)
+        np.testing.assert_allclose(result.mean_square, (states**2).mean(axis=1), rtol=1e-13)
+        # t = 0 is deterministic: both sides are roundoff there
+        for stderr, values in ((result.stderr_mean, states),
+                               (result.stderr_mean_square, states**2)):
+            two_pass = np.sqrt(np.var(values, axis=1) / samples)
+            np.testing.assert_allclose(stderr[1:], two_pass[1:], rtol=1e-6)
+
+
+class TestWorkerProcesses:
+    # a lambda initial condition cannot be pickled: the workers must receive
+    # the initial state as an array
+    @pytest.mark.parametrize("problem", [
+        PdeProblem(kind="Wave", initial_condition=np.cos),
+        PdeProblem(kind="AdvectionReaction", initial_condition=lambda x: np.sin(x) + 2.0,
+                   reaction_coefficient=0.1),
+    ], ids=["wave", "lambda-reaction"])
+    def test_pool_bit_identical_to_in_process(self, problem, monkeypatch):
+        config = McConfig(problem=problem, grid=SpatialGrid(32),
+                          window=TimeWindow.with_uniform_outputs(0.0, 1.0, 5),
+                          sample_count=700, seed=3, chunk_size=200)
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            results[cpus] = mc_statistics(config)
+        assert (results[1].workers, results[2].workers) == (1, 2)
+        for name in ("mean", "mean_square", "stderr_mean", "stderr_mean_square"):
+            np.testing.assert_array_equal(getattr(results[1], name),
+                                          getattr(results[2], name))
+        assert results[1].sample_count == results[2].sample_count == 700
+
+    @pytest.mark.parametrize("kind", ["Wave", "AdvectionReaction"])
+    def test_nan_sample_left_out_of_every_row(self, kind):
+        # a NaN speed leaves t = 0 finite and every later output non-finite
+        problem = PdeProblem(kind=kind, initial_condition=lambda x: np.cos(x) + 1.5,
+                             reaction_coefficient=0.1)
+        xi = np.random.default_rng(4).uniform(-1.0, 1.0, 300)
+        base = dict(problem=problem, grid=SpatialGrid(32),
+                    window=TimeWindow.with_uniform_outputs(0.0, 1.0, 5), step=1e-2,
+                    chunk_size=100)
+        with pytest.warns(RuntimeWarning, match="excluded 1 diverged"):
+            dropped = mc_statistics(McConfig(sample_count=301,
+                                             xi_values=np.insert(xi, 150, np.nan), **base))
+        clean = mc_statistics(McConfig(sample_count=300, xi_values=xi, **base))
+        assert (dropped.sample_count, dropped.diverged_count) == (300, 1)
+        for name in ("mean", "mean_square", "stderr_mean", "stderr_mean_square"):
+            np.testing.assert_allclose(getattr(dropped, name), getattr(clean, name),
+                                       rtol=0, atol=1e-13)
+
+
+class TestMemory:
+    def test_in_process_path_holds_no_output_block(self, advection_reaction):
+        # 201 outputs x 1000 samples x 64 points: a 103 MB block if it were held
+        config = McConfig(problem=advection_reaction, grid=SpatialGrid(64),
+                          window=TimeWindow.with_uniform_outputs(0.0, 2.0, 201),
+                          sample_count=1000, seed=0, step=1e-2, chunk_size=1000)
+        block = 201 * 1000 * 64 * 8
+        tracemalloc.start()
+        try:
+            result = mc_statistics(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * block
+        assert result.workers == 1 and result.sample_count == 1000
