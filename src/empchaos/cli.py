@@ -6,9 +6,10 @@ over a set of final times, and compares statistic time series between runs.
 
 Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
 config file or series CSV, or input the solver rejects (such as a step that
-breaks the CFL bound), 2 solver divergence, an ill-conditioned basis, a
-failed basis evolution (a singular Gram block or an overflowing matrix
-exponential) or a Monte Carlo worker process that died, 3 comparison failure.
+breaks the CFL bound, or output times with no common step), 2 solver
+divergence, an ill-conditioned basis, a failed basis evolution (a singular
+Gram block or an overflowing matrix exponential) or a Monte Carlo worker
+process that died, 3 comparison failure.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ class ExperimentConfig:
              "basis_cap: must be at least 1"),
             (self.t_final <= self.t_start, "t_final: must exceed t_start"),
             (self.step is not None and self.step <= 0, "step: must be positive"),
+            (self.seed < 0, "seed: must be non-negative"),
             (self.sample_count < 1, "sample_count: must be at least 1"),
             (self.outputs_per_window < 2, "outputs_per_window: must be at least 2"),
             (not 0 <= self.x_index < self.grid_size, "x_index: must lie in [0, grid_size)"),
@@ -300,18 +302,18 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
 
     if config.solver == "exact":
         tic = time.perf_counter()
-        x = grid.points[config.x_index]
-        ms = pde_core.wave_exact_mean_square(times, x)
-        mean = pde_core.wave_exact_mean(times, x)
+        # like the solvers, start from the initial condition at t_start
+        x, elapsed = grid.points[config.x_index], times - config.t_start
+        ms = pde_core.wave_exact_mean_square(elapsed, x)
+        mean = pde_core.wave_exact_mean(elapsed, x)
         write_series(os.path.join(out, "mean_square.csv"), times, ms)
         write_series(os.path.join(out, "mean.csv"), times, mean)
         seconds = time.perf_counter() - tic
         return ["mean_square.csv", "mean.csv"], {"evaluation": seconds}, {}
 
     if config.solver == "gpc":
-        step = config.step if config.step is not None else pde_core.default_step(grid)
         tic = time.perf_counter()
-        system = gpc.solve_gpc(problem, config.order, grid, window, step,
+        system = gpc.solve_gpc(problem, config.order, grid, window, config.step,
                                emp_config.rule, order_cap=config.order_cap)
         propagation = time.perf_counter() - tic
         tic = time.perf_counter()
@@ -364,7 +366,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     except (IntegrationDiverged, IllConditionedBasis, SingularBlock, OverflowError,
             BrokenExecutor, ValueError) as exc:
         # a ValueError is a setting the solver rejects, such as a step that
-        # breaks the CFL bound or misses the output times
+        # breaks the CFL bound or output times no one step can land on
         invalid = isinstance(exc, ValueError)
         manifest.update(status="invalid-input" if invalid else "solver-error",
                         error=str(exc))
@@ -430,7 +432,6 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
 
     base = _empirical_config(config)
     problem, grid, rule = base.problem, base.grid, base.rule
-    step = config.step if config.step is not None else pde_core.default_step(grid)
 
     rows = []
     for t_final in horizons:
@@ -448,7 +449,7 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
             order = max(1, int(np.ceil(order_factor * t_final)))
             window = pde_core.TimeWindow(config.t_start, t_final)
             tic = time.perf_counter()
-            gpc.solve_gpc(problem, order, grid, window, step, rule,
+            gpc.solve_gpc(problem, order, grid, window, config.step, rule,
                           order_cap=max(config.order_cap, order))
             row["gpc_seconds"] = time.perf_counter() - tic
             row["gpc_order"] = order

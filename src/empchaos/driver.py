@@ -3,7 +3,9 @@
 Plans the time windows first, then runs one loop over them: each window
 chooses its stochastic basis (resampled and truncated by POD, advanced by the
 matrix-exponential basis evolution, or held), moves the coefficients onto a
-new basis, and propagates. Per-stage wall-clock timings are recorded.
+new basis, and propagates. Sampling and propagation get the one base step
+(``step`` or ``pde_core.default_step``); the solvers fit it to each window's
+output times. Per-stage wall-clock timings are recorded.
 """
 
 from __future__ import annotations
@@ -101,11 +103,6 @@ class EmpiricalConfig:
             raise ValueError("need at least 2 outputs per window")
 
 
-def _snap_step(cadence: float, step: float) -> float:
-    """Largest step <= requested that divides the output cadence exactly."""
-    return cadence / int(np.ceil(cadence / step - 1e-12))
-
-
 def _pieces(start: float, stop: float, length: float):
     """Consecutive (start, end) pieces of [start, stop], each at most ``length`` long."""
     t = start
@@ -152,13 +149,10 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     timings = StageTimings()
     archive = ExpansionArchive()
     grid, rule, problem = config.grid, config.rule, config.problem
-    max_speed = float(np.max(np.abs(rule.nodes)))
-    base_step = config.step if config.step is not None else default_step(grid, max_speed)
+    step = config.step if config.step is not None else default_step(grid)
 
     basis = matrices = current_field = None
     for action, window in window_plan(config):
-        step = _snap_step(window.length / (len(window.output_times) - 1), base_step)
-
         if action == RESAMPLE:
             if current_field is None:
                 u0 = np.asarray(problem.initial_condition(grid.points), dtype=float)

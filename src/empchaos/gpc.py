@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pde_core import PdeProblem, SpatialGrid, TimeWindow, integrate_ode, spatial_derivative
+from .pde_core import (
+    PdeProblem,
+    SpatialGrid,
+    TimeWindow,
+    default_step,
+    integrate_ode,
+    spatial_derivative,
+)
 from .random_space import (
     QuadratureRule,
     chebyshev_nodes,
@@ -76,13 +83,14 @@ def solve_gpc(
     order: int,
     grid: SpatialGrid,
     window: TimeWindow,
-    step: float,
+    step: float | None = None,
     rule: QuadratureRule | None = None,
     order_cap: int = ORDER_CAP,
 ) -> GpcSystem:
     """RK4 on the truncated gPC system with a deterministic initial condition.
 
     The nonlinear reaction term is projected by quadrature at every rhs call.
+    The step defaults to ``default_step`` and is fitted to the output times.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -113,6 +121,8 @@ def solve_gpc(
 
     initial = np.zeros((order, grid.point_count))
     initial[0] = problem.initial_condition(grid.points)
+    if step is None:
+        step = default_step(grid)
     states = integrate_ode(rhs, initial, window, step)
     return GpcSystem(order=order, advection=advection, rule=rule,
                      times=window.output_times, coefficients=states)

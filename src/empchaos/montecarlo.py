@@ -26,7 +26,6 @@ from .pde_core import (
     PdeProblem,
     SpatialGrid,
     TimeWindow,
-    default_step,
     solve_ensemble,
 )
 
@@ -161,7 +160,7 @@ class _ChunkReducer:
 
 
 def _chunk_moments(kind: str, reaction_coefficient: float, reaction_exponent: float,
-                   u0: np.ndarray, window: TimeWindow, grid: SpatialGrid, step: float,
+                   u0: np.ndarray, window: TimeWindow, grid: SpatialGrid, step: float | None,
                    xi: np.ndarray) -> _Moments:
     """Solve one chunk of samples and return its moments, never its states.
 
@@ -200,14 +199,11 @@ def mc_statistics(config: McConfig) -> McResult:
     from concurrent.futures import ProcessPoolExecutor
 
     xi = _draw_samples(config)
-    step = config.step
-    if step is None:
-        step = default_step(config.grid, float(np.max(np.abs(xi))))
     problem = config.problem
     u0 = np.asarray(problem.initial_condition(config.grid.points), dtype=float)
     solve = functools.partial(_chunk_moments, problem.kind, problem.reaction_coefficient,
                               problem.reaction_exponent, u0, config.window, config.grid,
-                              step)
+                              config.step)
     chunks = [xi[start:start + config.chunk_size]
               for start in range(0, xi.size, config.chunk_size)]
     workers = min(len(os.sched_getaffinity(0)), len(chunks))

@@ -2,7 +2,9 @@
 
 Both problems live on a periodic uniform grid over [0, 2*pi). The advection
 speed is the random variable, so for a fixed sample the PDE is deterministic
-and is integrated with classical fixed-step RK4. The advection-reaction
+and is integrated with classical fixed-step RK4. Every RK4 kernel fits the
+requested step to the window's output times through one planner, which
+shrinks it until each output lands on a step boundary. The advection-reaction
 ensemble is marched step by step in cache-sized blocks of samples, each held
 sample-major (samples contiguous) in preallocated stage buffers. The wave
 operator is linear and its central difference is circulant, so its RK4 steps
@@ -15,7 +17,9 @@ output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -167,30 +171,50 @@ def spatial_derivative(values: np.ndarray, grid: SpatialGrid,
     return out
 
 
-def default_step(grid: SpatialGrid, max_speed: float = 1.0) -> float:
+def default_step(grid: SpatialGrid) -> float:
     """Default RK4 step: small enough that temporal error is below the O(h^2)
-    spatial error and the advective CFL number stays at or below 1/2."""
-    return min(1e-2, 0.5 * grid.spacing / max(abs(max_speed), 1.0))
+    spatial error and the advective CFL number of a speed in [-1, 1] stays at
+    or below 1/2."""
+    return min(1e-2, 0.5 * grid.spacing)
 
 
-def _plan_steps(window: TimeWindow, step: float) -> tuple[float, list[tuple[int, int]]]:
-    """Snap the step so it divides the window and every output time lands on a
-    step boundary. Returns (actual step, [(step index, output index), ...])."""
+def _plan_steps(window: TimeWindow, step: float) -> tuple[float, int, dict[int, int]]:
+    """Fit the step to the window's output times.
+
+    The window is cut into the fewest equal cells whose boundaries hold every
+    output time, and each cell into the fewest equal steps no longer than
+    ``step``. A cell is never shorter than both ``step`` and the smallest gap
+    between consecutive instants of (start, *output_times, end). Returns
+    (step, step count, {step index: output index}); an output that then
+    misses a step boundary (as in a ragged last window with no common step
+    that long) or shares one with the output before it is a ValueError.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
-    n_steps = max(1, int(round(window.length / step)))
-    if n_steps * step < window.length - 1e-9 * window.length:
-        n_steps = int(np.ceil(window.length / step - 1e-12))
-    actual = window.length / n_steps
-    outputs = []
+    length = window.length
+    tol = 1e-8 * max(1.0, length)
+    gaps = np.diff((window.start, *window.output_times, window.end))
+    limit = max(int(np.ceil(length / step - 1e-12)),
+                int(round(length / np.min(gaps[gaps > tol], initial=length))))
+    cells = 1
+    for t_out in window.output_times:
+        # the cells are the least common denominator of the outputs' fractions
+        # of the window; an output already on a cell boundary adds nothing
+        position = (t_out - window.start) / length
+        if abs(position * cells - round(position * cells)) * length / cells > tol:
+            fraction = Fraction(position).limit_denominator(limit)
+            cells = min(math.lcm(cells, fraction.denominator), limit)
+    n_steps = cells * max(1, int(np.ceil(length / cells / step - 1e-12)))
+    actual = length / n_steps
+    outputs = {}
     for j, t_out in enumerate(window.output_times):
         k = int(round((t_out - window.start) / actual))
-        if abs(window.start + k * actual - t_out) > 1e-8 * max(1.0, window.length):
+        if abs(window.start + k * actual - t_out) > tol or k in outputs:
             raise ValueError(
                 f"output time {t_out} does not land on a step boundary (step {actual})"
             )
-        outputs.append((k, j))
-    return actual, outputs
+        outputs[k] = j
+    return actual, n_steps, outputs
 
 
 def integrate_ode(
@@ -202,17 +226,14 @@ def integrate_ode(
 ) -> np.ndarray:
     """Classical fixed-step RK4 over the window.
 
-    The step is snapped so that it divides the window exactly; every output
-    time must coincide with a step boundary. Returns an array of states with
-    the output-time axis first.
+    The step is fitted to the output times by ``_plan_steps``. Returns an
+    array of states with the output-time axis first.
     """
     state = np.array(initial, dtype=float)
-    actual, outputs = _plan_steps(window, step)
+    actual, n_steps, outputs = _plan_steps(window, step)
     out = np.empty((len(window.output_times),) + state.shape)
-    pending = dict(outputs)
-    n_steps = int(round(window.length / actual))
-    if 0 in pending:
-        out[pending.pop(0)] = state
+    if 0 in outputs:
+        out[outputs[0]] = state
     t = window.start
     for k in range(1, n_steps + 1):
         k1 = rhs(t, state)
@@ -223,10 +244,8 @@ def integrate_ode(
         t = window.start + k * actual
         if check and not np.all(np.isfinite(state)):
             raise IntegrationDiverged(t)
-        if k in pending:
-            out[pending.pop(k)] = state
-    if pending:
-        raise ValueError("internal error: unrecorded output times")
+        if k in outputs:
+            out[outputs[k]] = state
     return out
 
 
@@ -275,7 +294,7 @@ def integrate_advection(
     if state.shape != (speeds.size, grid.point_count):
         raise ValueError(f"initial has shape {state.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
-    actual, outputs = _plan_steps(window, step)
+    actual, _, outputs = _plan_steps(window, step)
     out, record = _recorder(window, state.shape, record)
     modes = np.arange(grid.point_count // 2 + 1)
     z = 1j * actual * np.multiply.outer(speeds, np.sin(modes * grid.spacing) / grid.spacing)
@@ -286,7 +305,7 @@ def integrate_advection(
         vecs, inv_vecs = eigenvectors
         spectrum = inv_vecs @ spectrum
     done = 0
-    for k, j in outputs:
+    for k, j in outputs.items():
         if k == 0:
             record(j, 0, state)
             continue
@@ -347,9 +366,7 @@ def integrate_reaction(
     if initial.shape != (speeds.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
-    actual, outputs = _plan_steps(window, step)
-    n_steps = int(round(window.length / actual))
-    pending = dict(outputs)
+    actual, n_steps, outputs = _plan_steps(window, step)
     out, record = _recorder(window, initial.shape, record)
     points = grid.point_count
     size = max(1, _BLOCK_ENTRIES // points)
@@ -363,8 +380,8 @@ def integrate_reaction(
         shape = (6, points, speed.size)
         k1, k2, k3, k4, stage, scratch = buffers[:np.prod(shape)].reshape(shape)
         state = initial[first:first + size].T.copy()
-        if 0 in pending:
-            record(pending[0], first, state.T)
+        if 0 in outputs:
+            record(outputs[0], first, state.T)
         for k in range(1, n_steps + 1):
             _reaction_rhs(problem, grid, speed, state, k1, scratch)
             np.multiply(k1, half, out=stage)
@@ -388,8 +405,8 @@ def integrate_reaction(
                 # a later block may diverge earlier: report the minimum
                 diverged = min(diverged, k)
                 break
-            if k in pending:
-                record(pending[k], first, state.T)
+            if k in outputs:
+                record(outputs[k], first, state.T)
     if diverged <= n_steps:
         raise IntegrationDiverged(window.start + diverged * actual)
     return out
@@ -427,7 +444,9 @@ def solve_ensemble(
     problem, and through ``integrate_reaction``, which marches the samples in
     cache-sized blocks held sample-major, for the advection-reaction
     problem. ``initial`` is either one state of length M (shared by all
-    samples) or an array of shape (K, M). Returns (n_output_times, K, M),
+    samples) or an array of shape (K, M). The step (by default
+    ``default_step``) is fitted to the output times before the CFL bound is
+    checked against it. Returns (n_output_times, K, M),
     or hands the states to ``record`` as the kernels describe.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
@@ -436,9 +455,11 @@ def solve_ensemble(
         initial = np.broadcast_to(initial, (xis.size, initial.size)).copy()
     if initial.shape != (xis.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected ({xis.size}, {grid.point_count})")
-    if step is None:
-        step = default_step(grid, float(np.max(np.abs(xis), initial=0.0)))
-    cfl = float(np.max(np.abs(xis), initial=0.0)) * step / grid.spacing
+    # the kernels plan the same step again; a planned step plans to itself
+    step = _plan_steps(window, default_step(grid) if step is None else step)[0]
+    # a non-finite sample (kept by Monte Carlo, excluded later) sets no bound
+    speed = np.max(np.abs(xis), initial=0.0, where=np.isfinite(xis))
+    cfl = float(speed) * step / grid.spacing
     if cfl > 0.5 + 1e-12:
         raise ValueError(f"CFL number {cfl:.3f} exceeds 1/2; reduce the step")
     if not problem.has_reaction:

@@ -1,6 +1,6 @@
 """Random-variable support: quadrature rules and normalized Legendre polynomials.
 
-The random input is a single uniform variable on an interval. Expectations are
+The random input is a single uniform variable on [-1, 1]. Expectations are
 discretized as weighted sums over a fixed node set, with the probability
 density folded into the weights, so every inner product downstream is a plain
 dot product.
@@ -8,12 +8,13 @@ dot product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RandomInterval",
+    "LOWER",
+    "UPPER",
     "QuadratureRule",
     "chebyshev_nodes",
     "trapezoid_rule",
@@ -23,28 +24,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RandomInterval:
-    """Support of a uniform random variable, with density 1/(upper - lower)."""
-
-    lower: float = -1.0
-    upper: float = 1.0
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def density(self) -> float:
-        return 1.0 / self.width
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
+# support of the uniform random variable xi, whose density is 1/(UPPER - LOWER)
+LOWER = -1.0
+UPPER = 1.0
+_WIDTH = UPPER - LOWER
 
 
 @dataclass(frozen=True)
@@ -57,7 +40,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    interval: RandomInterval = field(default_factory=RandomInterval)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -70,9 +52,9 @@ class QuadratureRule:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        tol = 1e-9 * self.interval.width
-        if nodes[0] < self.interval.lower - tol or nodes[-1] > self.interval.upper + tol:
-            raise ValueError("nodes must lie within the interval")
+        tol = 1e-9 * _WIDTH
+        if nodes[0] < LOWER - tol or nodes[-1] > UPPER + tol:
+            raise ValueError(f"nodes must lie within [{LOWER}, {UPPER}]")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -87,52 +69,46 @@ class QuadratureRule:
         )
 
 
-def chebyshev_nodes(count: int, interval: RandomInterval | None = None) -> np.ndarray:
-    """Chebyshev-Gauss-Lobatto points on the interval, ascending.
+def chebyshev_nodes(count: int) -> np.ndarray:
+    """Chebyshev-Gauss-Lobatto points on [-1, 1], ascending.
 
     Cosine-spaced with both endpoints included, so a composite trapezoid rule
     built on them covers the whole interval.
     """
     if count < 2:
         raise ValueError(f"need at least 2 nodes, got {count}")
-    if interval is None:
-        interval = RandomInterval()
-    k = np.arange(count)
-    # cos(pi*k/(n-1)) descends from 1 to -1; reverse for ascending order.
-    ref = np.cos(np.pi * k / (count - 1))[::-1]
-    nodes = interval.midpoint + 0.5 * interval.width * ref
+    # cos(pi*k/(n-1)) descends from 1 to -1 as k rises; k falls for ascending order.
+    nodes = np.cos(np.pi * np.arange(count - 1, -1, -1) / (count - 1))
     # pin the endpoints to avoid roundoff just outside the interval
-    nodes[0] = interval.lower
-    nodes[-1] = interval.upper
+    nodes[0] = LOWER
+    nodes[-1] = UPPER
     return nodes
 
 
-def trapezoid_rule(nodes: np.ndarray, interval: RandomInterval | None = None) -> QuadratureRule:
-    """Composite trapezoid rule on (possibly nonuniform) nodes.
+def trapezoid_rule(nodes: np.ndarray) -> QuadratureRule:
+    """Composite trapezoid rule on (possibly nonuniform) nodes spanning [-1, 1].
 
     Weights are the trapezoid panel weights multiplied by the uniform density,
     so they sum to 1 up to roundoff.
     """
-    if interval is None:
-        interval = RandomInterval()
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("need a 1-d array of at least 2 nodes")
     if np.any(np.diff(nodes) <= 0):
         raise ValueError("nodes must be strictly increasing")
-    tol = 1e-9 * interval.width
-    if abs(nodes[0] - interval.lower) > tol or abs(nodes[-1] - interval.upper) > tol:
+    tol = 1e-9 * _WIDTH
+    if abs(nodes[0] - LOWER) > tol or abs(nodes[-1] - UPPER) > tol:
         raise ValueError("node set must include both interval endpoints")
     weights = np.zeros_like(nodes)
     gaps = np.diff(nodes)
     weights[:-1] += 0.5 * gaps
     weights[1:] += 0.5 * gaps
-    weights *= interval.density
-    return QuadratureRule(nodes=nodes, weights=weights, interval=interval)
+    weights /= _WIDTH
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def gauss_legendre_rule(count: int, interval: RandomInterval | None = None) -> QuadratureRule:
-    """Gauss-Legendre rule with density-scaled weights.
+def gauss_legendre_rule(count: int) -> QuadratureRule:
+    """Gauss-Legendre rule on [-1, 1] with density-scaled weights.
 
     Exact for polynomials up to degree 2*count - 1, which makes Gram matrices
     of polynomial bases exact to roundoff (the trapezoid rule is only
@@ -140,12 +116,9 @@ def gauss_legendre_rule(count: int, interval: RandomInterval | None = None) -> Q
     """
     if count < 1:
         raise ValueError(f"need at least 1 node, got {count}")
-    if interval is None:
-        interval = RandomInterval()
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
-    nodes = interval.midpoint + 0.5 * interval.width * ref_nodes
-    weights = 0.5 * ref_weights  # reference weights sum to 2
-    return QuadratureRule(nodes=nodes, weights=weights, interval=interval)
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    # the weights sum to the interval's width
+    return QuadratureRule(nodes=nodes, weights=weights / _WIDTH)
 
 
 def expectation(values: np.ndarray, rule: QuadratureRule) -> float | np.ndarray:

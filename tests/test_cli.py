@@ -37,6 +37,7 @@ class TestConfigValidation:
         ("basis_cap", 0),
         ("t_final", 0.0),
         ("step", 0.0),
+        ("seed", -1),
         ("sample_count", 0),
         ("outputs_per_window", 1),
         ("x_index", -1),
@@ -201,6 +202,17 @@ class TestExactCommand:
         assert header == ["t", "value"]
         np.testing.assert_allclose(values, wave_exact_mean_square(times),
                                    atol=1e-14)
+
+    def test_starts_from_the_initial_condition_at_t_start(self, tmp_path):
+        common = ["--t-start", "5", "--t-final", "7", "--grid-size", "256"]
+        assert cli.main(["exact", *common, "--output-dir", str(tmp_path / "exact")]) == 0
+        assert cli.main(["run", "--solver", "gpc", "--order", "20", *common,
+                         "--output-dir", str(tmp_path / "gpc")]) == 0
+        _, (times, values) = read_csv(tmp_path / "exact" / "mean_square.csv")
+        _, (gpc_times, gpc_values) = read_csv(tmp_path / "gpc" / "mean_square.csv")
+        assert times[0] == 5.0 and values[0] == 1.0
+        np.testing.assert_array_equal(times, gpc_times)
+        np.testing.assert_allclose(values, gpc_values, rtol=0.0, atol=1e-3)
 
     def test_rejected_for_reaction_problem(self, tmp_path):
         code = cli.main(["exact", "--problem", "advection-reaction",
@@ -386,10 +398,10 @@ class TestRunCommand:
         assert manifest["status"] == "solver-error"
         assert "diverged" in manifest["error"]
 
-    @pytest.mark.parametrize("solver", ["empirical", "gpc"])
+    @pytest.mark.parametrize("solver", ["empirical"])
     def test_invalid_step_exits_validation(self, tmp_path, solver):
-        # a unit step breaks the CFL bound of the ensemble march and misses
-        # the 0.1 output cadence of the gPC march
+        # a unit step, fitted to the 0.1 output spacing, is still CFL 0.509
+        # on 32 grid points
         out = tmp_path / solver
         code = cli.main(["run", "--solver", solver, "--grid-size", "32",
                          "--node-count", "20", "--order", "4", "--t-final", "1",
@@ -398,6 +410,52 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "invalid-input"
         assert "step" in manifest["error"].lower()
+
+    def test_step_is_fitted_to_the_output_times(self, tmp_path):
+        def run(step):
+            out = tmp_path / step
+            assert cli.main(["run", "--solver", "gpc", "--grid-size", "32",
+                             "--order", "4", "--t-final", "1", "--step", step,
+                             "--output-dir", str(out)]) == 0
+            return {name: (out / name).read_bytes()
+                    for name in os.listdir(out) if name != "manifest.json"}
+
+        assert run("1.0") == run("0.1")
+
+    @pytest.mark.parametrize("solver", ["gpc", "mc"])
+    def test_fine_grid_default_step_runs(self, tmp_path, solver):
+        # the default step 0.5*h = 0.00307 does not divide the 0.1 spacing
+        code = cli.main(["run", "--solver", solver, "--grid-size", "1024",
+                         "--t-final", "2", "--sample-count", "200",
+                         "--output-dir", str(tmp_path)])
+        assert code == 0
+
+    def test_cfl_checked_against_the_fitted_step(self, tmp_path):
+        # 0.0124 is CFL 0.505 on 256 points; the fitted 0.1/9 is CFL 0.453
+        code = cli.main(["run", "--solver", "empirical", "--grid-size", "256",
+                         "--node-count", "40", "--t-final", "1", "--step", "0.0124",
+                         "--output-dir", str(tmp_path)])
+        assert code == 0
+
+    @pytest.mark.parametrize("solver", ["gpc", "mc"])
+    def test_short_last_window_with_a_common_step_runs(self, tmp_path, solver):
+        # outputs 0.1 apart, then 0.03 apart in [10, 10.3]: 0.01 holds them all
+        code = cli.main(["run", "--solver", solver, "--grid-size", "32", "--order", "4",
+                         "--sample-count", "50", "--t-final", "10.3",
+                         "--output-dir", str(tmp_path)])
+        assert code == 0
+        times = read_csv(tmp_path / "mean_square.csv")[1][0]
+        assert times[-2:] == pytest.approx([10.27, 10.3])
+
+    def test_ragged_last_window_has_no_common_step(self, tmp_path):
+        # outputs 0.1 apart, then 0.037 apart in [10, 10.37]: the common
+        # step 0.001 is finer than the 0.01 default and every gap
+        code = cli.main(["run", "--solver", "gpc", "--grid-size", "32", "--order", "4",
+                         "--t-final", "10.37", "--output-dir", str(tmp_path)])
+        assert code == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "invalid-input"
+        assert "step boundary" in manifest["error"]
 
 
 class TestCompareCommand:

@@ -133,6 +133,46 @@ class TestIntegrateOde:
         with pytest.raises(ValueError):
             integrate_ode(lambda t, u: u, np.array([1.0]), TimeWindow(0.0, 1.0), 0.0)
 
+    def test_outputs_sharing_a_step_rejected(self):
+        # 1e-9 apart: within the landing tolerance of the same step
+        window = TimeWindow(0.0, 1.0, (0.0, 1e-9, 1.0))
+        with pytest.raises(ValueError, match="step boundary"):
+            integrate_ode(lambda t, u: 0.0 * u, np.array([1.0]), window, 0.01)
+
+
+class TestPlanSteps:
+    @given(start=st.floats(0.0, 400.0), length=st.floats(0.01, 10.0),
+           count=st.integers(2, 51), step=st.floats(1e-3, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_uniform_outputs(self, start, length, count, step):
+        window = TimeWindow.with_uniform_outputs(start, start + length, count)
+        actual, n_steps, outputs = pde_core._plan_steps(window, step)
+        cells, span = count - 1, window.length
+        per_cell = int(np.ceil(span / cells / step - 1e-12))
+        assert actual == span / (cells * per_cell)
+        assert n_steps == cells * per_cell
+        # the step count is rounded down by at most 1e-12
+        assert actual <= step * (1.0 + 1e-12)
+        assert outputs == {j * per_cell: j for j in range(count)}
+        landed = window.start + actual * np.array(list(outputs))
+        assert np.all(np.abs(landed - window.output_times) <= 1e-8 * max(1.0, span))
+        assert pde_core._plan_steps(window, actual)[0] == actual
+
+    def test_mixed_spacing_uses_the_common_step(self):
+        # gaps 0.1 and 0.03 share 0.01, though 0.03 does not divide 0.26
+        window = TimeWindow(0.0, 0.26, (0.0, 0.1, 0.2, 0.23, 0.26))
+        actual, n_steps, outputs = pde_core._plan_steps(window, 0.01)
+        assert (actual, n_steps) == (0.26 / 26, 26)
+        assert outputs == {0: 0, 10: 1, 20: 2, 23: 3, 26: 4}
+        assert pde_core._plan_steps(window, actual)[0] == actual
+
+    def test_common_step_finer_than_step_and_gaps_rejected(self):
+        # 0.1 and 0.037 share only 0.001
+        window = TimeWindow(0.0, 0.237, (0.0, 0.1, 0.2, 0.237))
+        with pytest.raises(ValueError, match="step boundary"):
+            pde_core._plan_steps(window, 0.01)
+        assert pde_core._plan_steps(window, 0.001)[1] == 237
+
 
 def assert_matches_march(states, marched):
     np.testing.assert_allclose(states, marched, rtol=0.0, atol=1e-12)
@@ -384,6 +424,13 @@ class TestSolveEnsemble:
         with pytest.raises(ValueError):
             solve_ensemble(wave, np.array([1.0]), u0, TimeWindow(0.0, 1.0),
                            grid, step=bad_step)
+
+    @pytest.mark.parametrize("xis", [[5.0], [np.nan, 5.0]], ids=["finite", "with-nan"])
+    def test_cfl_guard_skips_non_finite_samples(self, wave, xis):
+        grid = SpatialGrid(64)
+        with pytest.raises(ValueError, match="CFL number 1.019"):
+            solve_ensemble(wave, np.array(xis), np.cos(grid.points), TimeWindow(0.0, 1.0),
+                           grid, step=0.02)
 
     def test_rejects_bad_initial_shape(self, wave):
         grid = SpatialGrid(64)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from empchaos.random_space import (
     QuadratureRule,
-    RandomInterval,
     chebyshev_nodes,
     expectation,
     gauss_legendre_rule,
@@ -14,32 +13,12 @@ from empchaos.random_space import (
 )
 
 
-class TestRandomInterval:
-    def test_orders_bounds(self):
-        interval = RandomInterval(-1.0, 1.0)
-        assert interval.lower == -1.0 and interval.upper == 1.0
-        assert interval.width == 2.0
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            RandomInterval(1.0, 1.0)
-        with pytest.raises(ValueError):
-            RandomInterval(2.0, -2.0)
-
-
 class TestChebyshevNodes:
     def test_three_nodes_symmetric(self):
         np.testing.assert_allclose(chebyshev_nodes(3), [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_two_nodes_endpoints(self):
         np.testing.assert_allclose(chebyshev_nodes(2), [-1.0, 1.0], atol=1e-15)
-
-    def test_five_nodes_mapped_interval(self):
-        nodes = chebyshev_nodes(5, RandomInterval(0.0, 2.0))
-        assert nodes[2] == pytest.approx(1.0, abs=1e-14)
-        # cosine spacing is symmetric about the midpoint
-        np.testing.assert_allclose(nodes + nodes[::-1], 2.0, atol=1e-14)
-        assert nodes[1] == pytest.approx(1.0 - np.sqrt(2.0) / 2.0, abs=1e-14)
 
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):
@@ -147,11 +126,14 @@ class TestQuadratureRuleValidation:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([-1.0, 1.0]),
-                           weights=np.array([1.5, -0.5]),
-                           interval=RandomInterval(-1.0, 1.0))
+                           weights=np.array([1.5, -0.5]))
 
     def test_rejects_weights_not_summing_to_one(self):
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.array([-1.0, 1.0]),
-                           weights=np.array([0.4, 0.4]),
-                           interval=RandomInterval(-1.0, 1.0))
+                           weights=np.array([0.4, 0.4]))
+
+    def test_rejects_nodes_outside_the_support(self):
+        with pytest.raises(ValueError, match="within"):
+            QuadratureRule(nodes=np.array([-1.0, 1.5]),
+                           weights=np.array([0.5, 0.5]))
