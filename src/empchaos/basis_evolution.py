@@ -24,7 +24,7 @@ __all__ = [
     "evolve_basis",
 ]
 
-DEFAULT_CONDITION_LIMIT = 1e12
+CONDITION_LIMIT = 1e12
 
 
 class SingularBlock(RuntimeError):
@@ -47,9 +47,10 @@ class SpatialGalerkinPair:
         return self.gram.shape[0]
 
 
-def spatial_pair(field, grid: SpatialGrid) -> SpatialGalerkinPair:
-    """Assemble the pair from a coefficient field (periodic trapezoid = h*sum)."""
-    funcs = field.coefficients if hasattr(field, "coefficients") else np.asarray(field, dtype=float)
+def spatial_pair(coefficients: np.ndarray, grid: SpatialGrid) -> SpatialGalerkinPair:
+    """Assemble the pair from the (basis count, grid size) spatial coefficient
+    functions (periodic trapezoid = h*sum)."""
+    funcs = np.asarray(coefficients, dtype=float)
     if funcs.ndim != 2 or funcs.shape[1] != grid.point_count:
         raise ValueError("coefficients must be (basis count, grid size)")
     h = grid.spacing
@@ -59,16 +60,14 @@ def spatial_pair(field, grid: SpatialGrid) -> SpatialGalerkinPair:
     return SpatialGalerkinPair(gram=0.5 * (gram + gram.T), advect=advect)
 
 
-def block_decompose(pair: SpatialGalerkinPair,
-                    cond_limit: float = DEFAULT_CONDITION_LIMIT) -> list[tuple[int, int]]:
+def block_decompose(pair: SpatialGalerkinPair) -> list[tuple[int, int]]:
     """Greedy contiguous split of the Gram matrix into well-conditioned blocks.
 
     Starting from the top-left corner, each block is grown while its leading
-    principal submatrix stays below the condition limit; the next block starts
-    where the previous one closed. Every index lands in exactly one block.
+    principal submatrix stays below ``CONDITION_LIMIT``; the next block
+    starts where the previous one closed. Every index lands in exactly one
+    block.
     """
-    if cond_limit <= 1:
-        raise ValueError("cond_limit must exceed 1")
     n = pair.size
     blocks: list[tuple[int, int]] = []
     start = 0
@@ -77,7 +76,7 @@ def block_decompose(pair: SpatialGalerkinPair,
         for trial in range(1, n - start + 1):
             sub = pair.gram[start:start + trial, start:start + trial]
             cond = float(np.linalg.cond(sub))
-            if np.isfinite(cond) and cond < cond_limit:
+            if np.isfinite(cond) and cond < CONDITION_LIMIT:
                 size = trial
             else:
                 break

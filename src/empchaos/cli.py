@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -81,7 +82,6 @@ class ExperimentConfig:
     grid_size: int = 256
     node_count: int | None = None
     order: int = 10
-    order_cap: int = gpc.ORDER_CAP
     window_length: float | None = None
     threshold: float = 1e-4
     basis_cap: int | None = None
@@ -101,12 +101,17 @@ class ExperimentConfig:
             if value not in choices:
                 raise ConfigError(f"{name}: unknown value {value!r}, "
                                   f"expected one of {choices}")
+        for name in ("t_start", "t_final", "window_length", "step"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite")
         wave_only = "only available for the wave problem"
         failures = [
             (self.grid_size < 3, "grid_size: must be at least 3"),
             (self.node_count is not None and self.node_count < 2,
              "node_count: must be at least 2"),
             (self.order < 1, "order: must be at least 1"),
+            (self.order > gpc.ORDER_CAP, f"order: must be at most {gpc.ORDER_CAP}"),
             (self.window_length is not None and self.window_length <= 0,
              "window_length: must be positive"),
             (not 0.0 < self.threshold < 1.0, "threshold: must lie in (0, 1)"),
@@ -314,7 +319,7 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
     if config.solver == "gpc":
         tic = time.perf_counter()
         system = gpc.solve_gpc(problem, config.order, grid, window, config.step,
-                               emp_config.rule, order_cap=config.order_cap)
+                               emp_config.rule)
         propagation = time.perf_counter() - tic
         tic = time.perf_counter()
         write_series(os.path.join(out, "mean_square.csv"), times,
@@ -426,8 +431,12 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
     horizons = sorted(float(t) for t in horizons)
     if len(horizons) < 3:
         raise ConfigError("horizons: need at least 3 values for a scaling fit")
+    if not all(math.isfinite(t) for t in horizons):
+        raise ConfigError("horizons: every value must be finite")
     if any(t <= config.t_start for t in horizons):
         raise ConfigError("horizons: every value must exceed t_start")
+    if not (math.isfinite(order_factor) and order_factor > 0):
+        raise ConfigError("order_factor: must be positive and finite")
     config.validate()
 
     base = _empirical_config(config)
@@ -449,8 +458,7 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
             order = max(1, int(np.ceil(order_factor * t_final)))
             window = pde_core.TimeWindow(config.t_start, t_final)
             tic = time.perf_counter()
-            gpc.solve_gpc(problem, order, grid, window, config.step, rule,
-                          order_cap=max(config.order_cap, order))
+            gpc.solve_gpc(problem, order, grid, window, config.step, rule)
             row["gpc_seconds"] = time.perf_counter() - tic
             row["gpc_order"] = order
         rows.append(row)

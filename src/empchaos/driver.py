@@ -170,7 +170,7 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             timings.add("svd", time.perf_counter() - tic)
         elif action == EVOLVE:
             tic = time.perf_counter()
-            pair = basis_evolution.spatial_pair(current_field, grid)
+            pair = basis_evolution.spatial_pair(current_field.coefficients, grid)
             new_basis = basis_evolution.evolve_basis(basis, pair, window.length)
             timings.add("basis_evolution", time.perf_counter() - tic)
 

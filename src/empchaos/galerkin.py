@@ -198,10 +198,9 @@ def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisS
         v = basis.values
         solved_projector = matrices.solve((basis.rule.weights[:, None] * v).T)
 
-        def rhs(t, coeffs):
-            out = solved_advection @ spatial_derivative(coeffs, grid)
+        def rhs(coeffs, out):
+            np.matmul(solved_advection, spatial_derivative(coeffs, grid), out=out)
             out += solved_projector @ problem.reaction(v @ coeffs)
-            return out
 
         states = integrate_ode(rhs, field.coefficients, window, step)
     else:

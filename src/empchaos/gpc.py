@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_NODE_COUNT = 300
+# the largest order a configuration may ask for; solve_gpc warns above STABLE_ORDER
 ORDER_CAP = 60
 STABLE_ORDER = 40
 
@@ -85,7 +86,6 @@ def solve_gpc(
     window: TimeWindow,
     step: float | None = None,
     rule: QuadratureRule | None = None,
-    order_cap: int = ORDER_CAP,
 ) -> GpcSystem:
     """RK4 on the truncated gPC system with a deterministic initial condition.
 
@@ -94,8 +94,6 @@ def solve_gpc(
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if order > order_cap:
-        raise ValueError(f"order {order} exceeds the cap {order_cap}")
     if order > STABLE_ORDER:
         warnings.warn(
             f"gPC order {order} is above {STABLE_ORDER}; the Galerkin system may be unstable",
@@ -109,15 +107,10 @@ def solve_gpc(
     table = legendre_table(order, rule.nodes) if problem.has_reaction else None
     w = rule.weights
 
-    if problem.has_reaction:
-        def rhs(t, coeffs):
-            out = advection @ spatial_derivative(coeffs, grid)
-            u_nodes = table @ coeffs
-            out += table.T @ (w[:, None] * problem.reaction(u_nodes))
-            return out
-    else:
-        def rhs(t, coeffs):
-            return advection @ spatial_derivative(coeffs, grid)
+    def rhs(coeffs, out):
+        np.matmul(advection, spatial_derivative(coeffs, grid), out=out)
+        if problem.has_reaction:
+            out += table.T @ (w[:, None] * problem.reaction(table @ coeffs))
 
     initial = np.zeros((order, grid.point_count))
     initial[0] = problem.initial_condition(grid.points)

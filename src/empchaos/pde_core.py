@@ -2,15 +2,16 @@
 
 Both problems live on a periodic uniform grid over [0, 2*pi). The advection
 speed is the random variable, so for a fixed sample the PDE is deterministic
-and is integrated with classical fixed-step RK4. Every RK4 kernel fits the
+and is integrated with classical fixed-step RK4. Both RK4 kernels fit the
 requested step to the window's output times through one planner, which
-shrinks it until each output lands on a step boundary. The advection-reaction
-ensemble is marched step by step in cache-sized blocks of samples, each held
-sample-major (samples contiguous) in preallocated stage buffers. The wave
-operator is linear and its central difference is circulant, so its RK4 steps
-are applied in Fourier space: each mode is multiplied by a power of the RK4
-stability polynomial, which gives the marched solution without the march.
-Both ensemble kernels hand the states at each output time to a ``record``
+shrinks it until each output lands on a step boundary. ``integrate_ode`` is
+the one marched RK4, run in place in preallocated stage buffers: the
+advection-reaction ensemble (in cache-sized blocks of samples, each held
+sample-major), the Galerkin reaction system and gPC all march through it.
+The wave operator is linear and its central difference is circulant, so its
+RK4 steps are applied in Fourier space: each mode is multiplied by a power of
+the RK4 stability polynomial, which gives the marched solution without the
+march. Both kernels hand the states at each output time to a ``record``
 callable, so a caller can reduce them as they come instead of holding every
 output.
 """
@@ -217,38 +218,6 @@ def _plan_steps(window: TimeWindow, step: float) -> tuple[float, int, dict[int, 
     return actual, n_steps, outputs
 
 
-def integrate_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    initial: np.ndarray,
-    window: TimeWindow,
-    step: float,
-    check: bool = True,
-) -> np.ndarray:
-    """Classical fixed-step RK4 over the window.
-
-    The step is fitted to the output times by ``_plan_steps``. Returns an
-    array of states with the output-time axis first.
-    """
-    state = np.array(initial, dtype=float)
-    actual, n_steps, outputs = _plan_steps(window, step)
-    out = np.empty((len(window.output_times),) + state.shape)
-    if 0 in outputs:
-        out[outputs[0]] = state
-    t = window.start
-    for k in range(1, n_steps + 1):
-        k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * actual, state + 0.5 * actual * k1)
-        k3 = rhs(t + 0.5 * actual, state + 0.5 * actual * k2)
-        k4 = rhs(t + actual, state + actual * k3)
-        state = state + (actual / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = window.start + k * actual
-        if check and not np.all(np.isfinite(state)):
-            raise IntegrationDiverged(t)
-        if k in outputs:
-            out[outputs[k]] = state
-    return out
-
-
 # record(j, first, rows): rows[i] is the state of row first + i at output j
 Record = Callable[[int, int, np.ndarray], None]
 
@@ -265,6 +234,59 @@ def _recorder(window: TimeWindow, shape: tuple,
         out[j, first:first + len(rows)] = rows
 
     return out, write
+
+
+def integrate_ode(
+    rhs: Callable[[np.ndarray, np.ndarray], None],
+    initial: np.ndarray,
+    window: TimeWindow,
+    step: float,
+    check: bool = True,
+    record: Record | None = None,
+) -> np.ndarray | None:
+    """Classical fixed-step RK4 over the window for u' = rhs(u).
+
+    ``rhs(u, out)`` writes the right-hand side at ``u`` into ``out``. The
+    state (a C-ordered copy of ``initial``), the four stages and the stage
+    argument are preallocated, and every step runs in them in place, ending
+    in state + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4). The step is fitted to
+    the output times by ``_plan_steps``, and the step-0 output is the initial
+    state itself. With ``check``, raises ``IntegrationDiverged`` at the first
+    step with a non-finite entry. The state at each output goes to
+    ``record(j, 0, state)``; by default it is written into the returned
+    (n_output_times,) + initial.shape array.
+    """
+    # C order: a transposed view (a reaction block) would otherwise stay strided
+    state = np.array(initial, dtype=float, order="C")
+    actual, n_steps, outputs = _plan_steps(window, step)
+    out, record = _recorder(window, state.shape, record)
+    k1, k2, k3, k4, stage = np.empty((5,) + state.shape)
+    half, sixth = 0.5 * actual, actual / 6.0
+    if 0 in outputs:
+        record(outputs[0], 0, state)
+    for k in range(1, n_steps + 1):
+        rhs(state, k1)
+        np.multiply(k1, half, out=stage)
+        stage += state
+        rhs(stage, k2)
+        np.multiply(k2, half, out=stage)
+        stage += state
+        rhs(stage, k3)
+        np.multiply(k3, actual, out=stage)
+        stage += state
+        rhs(stage, k4)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= sixth
+        state += k2
+        if check and not np.isfinite(state).all():
+            raise IntegrationDiverged(window.start + k * actual)
+        if k in outputs:
+            record(outputs[k], 0, state)
+    return out
 
 
 def integrate_advection(
@@ -322,18 +344,9 @@ def integrate_advection(
 
 
 # State entries (samples times grid points) per block of ``integrate_reaction``:
-# the block's state and its six stage buffers (7 x 256 KB) fit in a 2 MB
-# per-core L2 cache.
+# the block's state, the five stage buffers of ``integrate_ode`` and the
+# reaction scratch (7 x 256 KB) fit in a 2 MB per-core L2 cache.
 _BLOCK_ENTRIES = 32_768
-
-
-def _reaction_rhs(problem: PdeProblem, grid: SpatialGrid, speeds: np.ndarray,
-                  u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """speeds * (D u) + reaction(u) into ``out``, for a block of states held
-    one sample per column."""
-    spatial_derivative(u.T, grid, out=out.T)
-    out *= speeds
-    out += problem.reaction(u, out=scratch)
 
 
 def integrate_reaction(
@@ -350,14 +363,11 @@ def integrate_reaction(
 
     ``initial`` holds one state of length M per row, marched with the speed
     of its row; D is the periodic central difference. The rows do not
-    couple, so they are marched a block at a time, each block held
-    transposed (samples contiguous) in preallocated stage buffers that stay
-    in cache for the whole window. Every entry goes through the operations
-    of ``integrate_ode`` on that right-hand side in the same order, so the
-    result is bit-identical to that march. The step is planned as in
-    ``integrate_ode``, and the step-0 output is the initial state itself.
-    With ``check``, raises ``IntegrationDiverged`` at the earliest step at
-    which any row is non-finite. Each block's states at each output go to
+    couple, so ``integrate_ode`` marches them a block at a time, each block
+    copied transposed (samples contiguous) so that its state and stage
+    buffers stay in cache for the whole window. With ``check``, raises
+    ``IntegrationDiverged`` at the earliest step at which any row is
+    non-finite. Each block's states at each output go to
     ``record(j, first, rows)``, block after block in row order; by default
     they are written into the returned (n_output_times, K, M) array.
     """
@@ -366,50 +376,32 @@ def integrate_reaction(
     if initial.shape != (speeds.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
-    actual, n_steps, outputs = _plan_steps(window, step)
-    out, record = _recorder(window, initial.shape, record)
-    points = grid.point_count
-    size = max(1, _BLOCK_ENTRIES // points)
-    buffers = np.empty(6 * points * min(size, speeds.size))
-    half, sixth = 0.5 * actual, actual / 6.0
-    diverged = n_steps + 1
+    states, record = _recorder(window, initial.shape, record)
+    size = max(1, _BLOCK_ENTRIES // grid.point_count)
+    diverged = None
     for first in range(0, speeds.size, size):
         speed = speeds[first:first + size]
-        # contiguous for a ragged last block too: with strided rows it would
-        # cost as much as a full block
-        shape = (6, points, speed.size)
-        k1, k2, k3, k4, stage, scratch = buffers[:np.prod(shape)].reshape(shape)
-        state = initial[first:first + size].T.copy()
-        if 0 in outputs:
-            record(outputs[0], first, state.T)
-        for k in range(1, n_steps + 1):
-            _reaction_rhs(problem, grid, speed, state, k1, scratch)
-            np.multiply(k1, half, out=stage)
-            stage += state
-            _reaction_rhs(problem, grid, speed, stage, k2, scratch)
-            np.multiply(k2, half, out=stage)
-            stage += state
-            _reaction_rhs(problem, grid, speed, stage, k3, scratch)
-            np.multiply(k3, actual, out=stage)
-            stage += state
-            _reaction_rhs(problem, grid, speed, stage, k4, scratch)
-            # state + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= sixth
-            state += k2
-            if check and not np.isfinite(state).all():
-                # a later block may diverge earlier: report the minimum
-                diverged = min(diverged, k)
-                break
-            if k in outputs:
-                record(outputs[k], first, state.T)
-    if diverged <= n_steps:
-        raise IntegrationDiverged(window.start + diverged * actual)
-    return out
+        scratch = np.empty((grid.point_count, speed.size))
+
+        def rhs(u: np.ndarray, out: np.ndarray) -> None:
+            # speed * (D u) + reaction(u), one sample per column
+            spatial_derivative(u.T, grid, out=out.T)
+            out *= speed
+            out += problem.reaction(u, out=scratch)
+
+        def block_record(j: int, _: int, rows: np.ndarray) -> None:
+            record(j, first, rows.T)
+
+        try:
+            integrate_ode(rhs, initial[first:first + size].T, window, step, check,
+                          block_record)
+        except IntegrationDiverged as exc:
+            # a later block may diverge earlier: report the minimum
+            if diverged is None or exc.time < diverged.time:
+                diverged = exc
+    if diverged is not None:
+        raise diverged
+    return states
 
 
 def solve_fixed_xi(

@@ -185,15 +185,14 @@ def test_criterion_7_linear_time_scaling_and_crossover():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         wave_config = cli.ExperimentConfig(problem="wave", grid_size=128,
-                                           node_count=120, order_cap=200)
+                                           node_count=120)
         # order grows with the horizon; a factor of 2 keeps the coefficient
         # coupling (rather than fixed per-step overhead) dominating the timing
         wave_report = cli.run_scaling_study(wave_config, [10.0, 20.0, 40.0, 80.0],
                                             order_factor=2.0)
         ar_config = cli.ExperimentConfig(problem="advection-reaction",
                                          grid_size=256, node_count=100,
-                                         outputs_per_window=6, step=1e-2,
-                                         order_cap=200)
+                                         outputs_per_window=6, step=1e-2)
         ar_report = cli.run_scaling_study(ar_config, [8.0, 24.0, 96.0])
     r_squared = wave_report["empirical_fit"]["r_squared"]
     exponent = wave_report["gpc_fit"]["exponent"]

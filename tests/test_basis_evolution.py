@@ -67,7 +67,7 @@ class TestBlockDecompose:
     def test_degenerate_middle_entry_isolated(self):
         gram = np.diag([1.0, 1e-30, 1.0])
         pair = SpatialGalerkinPair(gram=gram, advect=np.zeros((3, 3)))
-        blocks = block_decompose(pair, cond_limit=1e12)
+        blocks = block_decompose(pair)
         assert blocks[0] == (0, 1)
         starts = [a for a, _ in blocks]
         ends = [b for _, b in blocks]
@@ -88,11 +88,6 @@ class TestBlockDecompose:
         blocks = block_decompose(spatial_pair(funcs, grid))
         covered = [i for a, b in blocks for i in range(a, b)]
         assert covered == list(range(basis.size))
-
-    def test_rejects_unit_limit(self):
-        pair = SpatialGalerkinPair(gram=np.eye(2), advect=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            block_decompose(pair, cond_limit=1.0)
 
 
 class TestEvolveBasis:
@@ -156,7 +151,7 @@ class TestEvolveBasis:
         from empchaos.galerkin import assemble_matrices, project_node_values
         matrices = assemble_matrices(basis)
         field = project_node_values(u_final, basis, matrices)
-        pair = spatial_pair(field, grid)
+        pair = spatial_pair(field.coefficients, grid)
 
         def principal_gap(dt):
             evolved = evolve_basis(basis, pair, dt)

@@ -32,11 +32,16 @@ class TestConfigValidation:
         ("grid_size", 2),
         ("node_count", 1),
         ("order", 0),
+        ("order", 61),
         ("window_length", -1.0),
+        ("window_length", float("inf")),
         ("threshold", 1.5),
         ("basis_cap", 0),
         ("t_final", 0.0),
+        ("t_final", float("inf")),
+        ("t_start", float("-inf")),
         ("step", 0.0),
+        ("step", float("inf")),
         ("seed", -1),
         ("sample_count", 0),
         ("outputs_per_window", 1),
@@ -46,6 +51,22 @@ class TestConfigValidation:
         config = ExperimentConfig(**{field: value})
         with pytest.raises(ConfigError, match=field):
             config.validate()
+
+    @pytest.mark.parametrize("flag,solver", [
+        ("--t-final", "empirical"),
+        ("--t-final", "gpc"),
+        ("--t-final", "mc"),
+        ("--t-final", "exact"),
+        ("--t-start", "empirical"),
+        ("--window-length", "empirical"),
+        ("--step", "gpc"),
+    ])
+    def test_nan_exits_validation_by_name(self, tmp_path, capsys, flag, solver):
+        code = cli.main(["run", "--solver", solver, flag, "nan",
+                         "--output-dir", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        field = flag[2:].replace("-", "_")
+        assert f"{field}: must be finite" in capsys.readouterr().err
 
     def test_exact_solver_requires_wave(self):
         config = ExperimentConfig(problem="advection-reaction", solver="exact")
@@ -147,7 +168,6 @@ class TestFlags:
         ("--grid-size", "grid_size", int, None, "64"),
         ("--node-count", "node_count", int, None, "40"),
         ("--order", "order", int, None, "12"),
-        ("--order-cap", "order_cap", int, None, "200"),
         ("--window-length", "window_length", float, None, "0.5"),
         ("--threshold", "threshold", float, None, "1e-5"),
         ("--basis-cap", "basis_cap", int, None, "9"),
@@ -518,6 +538,19 @@ class TestScalingStudy:
         config = ExperimentConfig(grid_size=32, node_count=20)
         with pytest.raises(ConfigError, match="horizons"):
             cli.run_scaling_study(config, [1.0, 2.0])
+
+    @pytest.mark.parametrize("horizons,order_factor,field", [
+        ([1.0, 2.0, float("nan")], 1.1, "horizons"),
+        ([1.0, 2.0, 3.0], float("nan"), "order_factor"),
+        ([1.0, 2.0, 3.0], float("inf"), "order_factor"),
+        ([1.0, 2.0, 3.0], 0.0, "order_factor"),
+        ([1.0, 2.0, 3.0], -1.0, "order_factor"),
+    ])
+    def test_rejects_bad_horizons_and_order_factor(self, horizons, order_factor,
+                                                   field):
+        config = ExperimentConfig(grid_size=32, node_count=20)
+        with pytest.raises(ConfigError, match=field):
+            cli.run_scaling_study(config, horizons, order_factor=order_factor)
 
     def test_report_structure_and_artifacts(self, tmp_path):
         config = ExperimentConfig(grid_size=32, node_count=20,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from empchaos.gpc import (
-    ORDER_CAP,
     default_rule,
     legendre_advection_matrix,
     mean_series,
@@ -83,11 +82,6 @@ class TestSolveGpc:
         grid = SpatialGrid(16)
         with pytest.warns(RuntimeWarning):
             solve_gpc(wave, 41, grid, TimeWindow(0.0, 0.1), 1e-2)
-
-    def test_order_cap_enforced(self, wave):
-        grid = SpatialGrid(16)
-        with pytest.raises(ValueError):
-            solve_gpc(wave, ORDER_CAP + 1, grid, TimeWindow(0.0, 0.1), 1e-2)
 
     def test_reaction_nonlinearity(self, advection_reaction):
         # with no advection sensitivity at order 1 the constant mode follows

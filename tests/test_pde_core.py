@@ -99,45 +99,100 @@ class TestSpatialDerivative:
             spatial_derivative(np.ones(10), SpatialGrid(32))
 
 
+def textbook_rk4(rhs, initial, window, step):
+    """The plain, allocating classical RK4 that ``integrate_ode`` runs in
+    place: the reference march, for an autonomous ``rhs(u)`` that returns
+    du/dt, on the step plan of ``integrate_ode``."""
+    state = np.array(initial, dtype=float)
+    actual, n_steps, outputs = pde_core._plan_steps(window, step)
+    out = np.empty((len(window.output_times),) + state.shape)
+    if 0 in outputs:
+        out[outputs[0]] = state
+    for k in range(1, n_steps + 1):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * actual * k1)
+        k3 = rhs(state + 0.5 * actual * k2)
+        k4 = rhs(state + actual * k3)
+        state = state + (actual / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(state)):
+            raise IntegrationDiverged(window.start + k * actual)
+        if k in outputs:
+            out[outputs[k]] = state
+    return out
+
+
+def in_place(rhs):
+    """The in-place ``rhs(u, out)`` form of an allocating ``rhs(u)``."""
+    return lambda u, out: np.copyto(out, rhs(u))
+
+
 class TestIntegrateOde:
     def test_zero_rhs_constant(self):
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 5)
-        states = integrate_ode(lambda t, u: 0.0 * u, np.array([3.0]), window, 0.05)
+        states = integrate_ode(lambda u, out: np.multiply(u, 0.0, out=out),
+                               np.array([3.0]), window, 0.05)
         np.testing.assert_allclose(states, 3.0)
 
     def test_exponential_growth(self):
         window = TimeWindow(0.0, 1.0)
-        states = integrate_ode(lambda t, u: u, np.array([1.0]), window, 1e-3)
+        states = integrate_ode(lambda u, out: np.copyto(out, u), np.array([1.0]),
+                               window, 1e-3)
         assert states[-1, 0] == pytest.approx(np.e, abs=1e-10)
 
     def test_square_root_reaction_closed_form(self):
         # u' = 0.1*sqrt(u) with u(0) = c has solution (sqrt(c) + 0.05 t)^2
         c = 2.5
         window = TimeWindow(0.0, 2.0)
-        states = integrate_ode(lambda t, u: 0.1 * np.sqrt(u), np.array([c]), window, 1e-3)
+        states = integrate_ode(lambda u, out: np.multiply(np.sqrt(u), 0.1, out=out),
+                               np.array([c]), window, 1e-3)
         assert states[-1, 0] == pytest.approx((np.sqrt(c) + 0.05 * 2.0) ** 2, abs=1e-8)
 
     def test_divergence_reports_time(self):
         # u' = u^3 from u(0)=1 blows up at t = 0.5
         window = TimeWindow(0.0, 1.0)
         with pytest.raises(IntegrationDiverged) as info, np.errstate(over="ignore"):
-            integrate_ode(lambda t, u: u**3, np.array([1.0]), window, 1e-3)
+            integrate_ode(lambda u, out: np.power(u, 3, out=out), np.array([1.0]),
+                          window, 1e-3)
         assert 0.0 < info.value.time <= 1.0
 
     def test_output_time_off_step_boundary(self):
         window = TimeWindow(0.0, 1.0, (0.0, 0.333, 1.0))
         with pytest.raises(ValueError):
-            integrate_ode(lambda t, u: 0.0 * u, np.array([1.0]), window, 0.25)
+            integrate_ode(lambda u, out: np.multiply(u, 0.0, out=out),
+                          np.array([1.0]), window, 0.25)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            integrate_ode(lambda t, u: u, np.array([1.0]), TimeWindow(0.0, 1.0), 0.0)
+            integrate_ode(lambda u, out: np.copyto(out, u), np.array([1.0]),
+                          TimeWindow(0.0, 1.0), 0.0)
 
     def test_outputs_sharing_a_step_rejected(self):
         # 1e-9 apart: within the landing tolerance of the same step
         window = TimeWindow(0.0, 1.0, (0.0, 1e-9, 1.0))
         with pytest.raises(ValueError, match="step boundary"):
-            integrate_ode(lambda t, u: 0.0 * u, np.array([1.0]), window, 0.01)
+            integrate_ode(lambda u, out: np.multiply(u, 0.0, out=out),
+                          np.array([1.0]), window, 0.01)
+
+    def test_scalar_system_matches_textbook_march(self):
+        def rhs(u):
+            return 0.1 * np.sqrt(np.abs(u)) - 0.3 * u
+        window = TimeWindow.with_uniform_outputs(0.2, 1.7, 4)
+        np.testing.assert_array_equal(
+            integrate_ode(in_place(rhs), np.array([2.5]), window, 1e-2),
+            textbook_rk4(rhs, np.array([2.5]), window, 1e-2))
+
+    def test_stacked_reaction_system_matches_textbook_march(self, advection_reaction):
+        grid = SpatialGrid(64)
+        rng = np.random.default_rng(8)
+        column = rng.uniform(-1.0, 1.0, (9, 1))
+        initial = 1.5 + rng.uniform(-1.0, 1.0, (9, 64))
+
+        def rhs(u):
+            return column * spatial_derivative(u, grid) + old_reaction(advection_reaction, u)
+        window = TimeWindow.with_uniform_outputs(0.0, 0.5, 6)
+        np.testing.assert_array_equal(
+            integrate_ode(in_place(rhs), initial, window, 1e-2),
+            textbook_rk4(rhs, initial, window, 1e-2))
 
 
 class TestPlanSteps:
@@ -187,8 +242,8 @@ def sampled_pod_basis(wave, rule, grid, window):
 def galerkin_march(matrices, field, window, grid, step):
     """The wave Galerkin system c' = mass^-1 * advection * D c, marched."""
     solved = matrices.solve(matrices.advection)
-    return integrate_ode(lambda t, c: solved @ spatial_derivative(c, grid),
-                         field.coefficients, window, step)
+    return textbook_rk4(lambda c: solved @ spatial_derivative(c, grid),
+                        field.coefficients, window, step)
 
 
 class TestIntegrateAdvection:
@@ -201,8 +256,8 @@ class TestIntegrateAdvection:
         initial = rng.normal(size=(40, 128))
         window = TimeWindow.with_uniform_outputs(0.5, 1.5, 11)
         states = integrate_advection(speeds, initial, window, grid, 1e-2)
-        marched = integrate_ode(
-            lambda t, u: speeds[:, None] * spatial_derivative(u, grid),
+        marched = textbook_rk4(
+            lambda u: speeds[:, None] * spatial_derivative(u, grid),
             initial, window, 1e-2)
         assert_matches_march(states, marched)
 
@@ -223,7 +278,7 @@ class TestIntegrateAdvection:
         matrices = assemble_matrices(basis)
         field = project_initial_condition(wave, basis, grid, matrices)
         field = propagate_window(wave, field, basis, first, grid, 1e-2, matrices).final
-        evolved = evolve_basis(basis, spatial_pair(field, grid), 0.1)
+        evolved = evolve_basis(basis, spatial_pair(field.coefficients, grid), 0.1)
         gram = evolved.values.T @ evolved.values
         assert not np.allclose(gram, np.eye(evolved.size), atol=1e-6)
         evolved_matrices = assemble_matrices(evolved)
@@ -263,13 +318,13 @@ def old_reaction(problem, u):
 
 
 def reaction_march(problem, speeds, initial, window, grid, step):
-    """The advection-reaction ensemble marched by ``integrate_ode`` with the
+    """The advection-reaction ensemble marched by ``textbook_rk4`` with the
     closure right-hand side that ``solve_ensemble`` used to build."""
     column = np.asarray(speeds, dtype=float)[:, None]
 
-    def rhs(t, u):
+    def rhs(u):
         return column * spatial_derivative(u, grid) + old_reaction(problem, u)
-    return integrate_ode(rhs, initial, window, step)
+    return textbook_rk4(rhs, initial, window, step)
 
 
 def samples_per_block(grid):
@@ -336,6 +391,25 @@ class TestIntegrateReaction:
         states = integrate_reaction(advection_reaction, np.array([-1.0, 0.2, 0.9]),
                                     initial, window, grid, 1e-2)
         np.testing.assert_array_equal(states[0], initial)
+
+    def test_block_record_gets_rows_in_row_order(self, advection_reaction):
+        grid = SpatialGrid(64)
+        block = samples_per_block(grid)
+        rng = np.random.default_rng(6)
+        speeds = rng.uniform(-1.0, 1.0, block + 3)
+        initial = 1.5 + rng.uniform(-1.0, 1.0, (speeds.size, 64))
+        window = TimeWindow.with_uniform_outputs(0.0, 0.2, 3)
+        calls = []
+        integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2,
+                           record=lambda j, first, rows: calls.append(
+                               (j, first, rows.copy())))
+        assert [(j, first, rows.shape) for j, first, rows in calls] == [
+            (0, 0, (block, 64)), (1, 0, (block, 64)), (2, 0, (block, 64)),
+            (0, block, (3, 64)), (1, block, (3, 64)), (2, block, (3, 64))]
+        marched = reaction_march(advection_reaction, speeds, initial, window, grid,
+                                 1e-2)
+        for j, first, rows in calls:
+            np.testing.assert_array_equal(rows, marched[j, first:first + len(rows)])
 
     def test_divergence_time_is_the_earliest_over_all_blocks(self):
         # cubic growth blows up from amplitude a at about t = 1/(2a^2); rows
