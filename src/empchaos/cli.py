@@ -15,10 +15,14 @@ process that died, 3 comparison failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import platform
+import resource
 import sys
 import tempfile
 import time
@@ -27,6 +31,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__, driver, gpc, montecarlo, pde_core, random_space
 from .basis_evolution import SingularBlock
@@ -67,6 +72,14 @@ _CHOICES = {
 # node count and window length default per problem when left unset
 _DEFAULT_NODES = {"wave": 120, "advection-reaction": 300}
 _DEFAULT_WINDOW = {"wave": 1.0, "advection-reaction": 2.0}
+# thread-count (getter, setter) symbols an OpenBLAS build may export; the
+# first pair a library has is used
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class ConfigError(ValueError):
@@ -283,12 +296,56 @@ def _empirical_config(config: ExperimentConfig) -> driver.EmpiricalConfig:
     )
 
 
-def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
-    """Run the configured solver and write its artifacts.
+def _blas_pools() -> dict[str, tuple]:
+    """(getter, setter) of the thread count of each OpenBLAS loaded in this
+    process, by library basename; empty where /proc/self/maps is missing."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return {}
+    pools = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                pools[os.path.basename(path)] = (getter, setter)
+                break
+    return pools
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then restore the
+    thread counts found. Yields the count each library reads back, by basename.
+
+    numpy and scipy each bundle an OpenBLAS; on a two-core machine their
+    threaded pools spin against each other, and the solves' matrices are too
+    small to gain from a second thread. The second core serves the Monte Carlo
+    worker processes instead, which inherit the setting and make no BLAS call.
+    """
+    pools = _blas_pools()
+    found = {name: getter() for name, (getter, _) in pools.items()}
+    try:
+        for _, setter in pools.values():
+            setter(1)
+        yield {name: getter() for name, (getter, _) in pools.items()}
+    finally:
+        for name, (_, setter) in pools.items():
+            setter(found[name])
+
+
+def _solve(config: ExperimentConfig, emp_config: driver.EmpiricalConfig,
+           out: str) -> tuple[list[str], dict, dict]:
+    """Run the configured solver on the problem, grid and rule of emp_config
+    and write its artifacts.
 
     Returns (files, timings, extra manifest fields).
     """
-    emp_config = _empirical_config(config)
     problem, grid = emp_config.problem, emp_config.grid
 
     if config.solver in ("empirical", "empirical-evolve"):
@@ -351,12 +408,17 @@ def _solve(config: ExperimentConfig, out: str) -> tuple[list[str], dict, dict]:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Run one configured solve and write the result bundle to output_dir."""
+    """Run one configured solve, with BLAS on one thread, and write the result
+    bundle to output_dir."""
     config.validate()
+    emp_config = _empirical_config(config)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     manifest = {
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "config": dataclasses.asdict(config),
         "status": "ok",
         "files": [],
@@ -364,9 +426,13 @@ def run_experiment(config: ExperimentConfig) -> int:
         "total_seconds": 0.0,
     }
     code = EXIT_OK
-    tic = time.perf_counter()
     try:
-        files, stage_seconds, extra = _solve(config, out)
+        with _one_blas_thread() as threads:
+            manifest["blas_threads"] = threads
+            # the stages cover the total: building the config, grid and rule
+            # and setting the threads are set-up, not solve
+            tic = time.perf_counter()
+            files, stage_seconds, extra = _solve(config, emp_config, out)
         manifest.update(files=files, stage_seconds=stage_seconds, **extra)
     except (IntegrationDiverged, IllConditionedBasis, SingularBlock, OverflowError,
             BrokenExecutor, ValueError) as exc:
@@ -378,6 +444,8 @@ def run_experiment(config: ExperimentConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION if invalid else EXIT_DIVERGED
     manifest["total_seconds"] = time.perf_counter() - tic
+    # this process's peak since it started, Monte Carlo workers not included
+    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write_text(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
     return code
 
@@ -426,7 +494,8 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
     """Wall-clock scaling of the empirical solver (and optionally gPC) vs t_final.
 
     The gPC order grows proportionally to the horizon so both methods track a
-    comparable accuracy target as the integration time increases.
+    comparable accuracy target as the integration time increases. Both are
+    timed with BLAS on one thread.
     """
     horizons = sorted(float(t) for t in horizons)
     if len(horizons) < 3:
@@ -443,25 +512,26 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
     problem, grid, rule = base.problem, base.grid, base.rule
 
     rows = []
-    for t_final in horizons:
-        emp_config = dataclasses.replace(base, t_final=t_final,
-                                         schedule=driver.always_resample)
-        tic = time.perf_counter()
-        archive, _ = driver.run_schedule(emp_config)
-        emp_seconds = time.perf_counter() - tic
-        row = {
-            "t_final": t_final,
-            "empirical_seconds": emp_seconds,
-            "max_basis_count": int(max(archive.basis_counts())),
-        }
-        if with_gpc:
-            order = max(1, int(np.ceil(order_factor * t_final)))
-            window = pde_core.TimeWindow(config.t_start, t_final)
+    with _one_blas_thread():
+        for t_final in horizons:
+            emp_config = dataclasses.replace(base, t_final=t_final,
+                                             schedule=driver.always_resample)
             tic = time.perf_counter()
-            gpc.solve_gpc(problem, order, grid, window, config.step, rule)
-            row["gpc_seconds"] = time.perf_counter() - tic
-            row["gpc_order"] = order
-        rows.append(row)
+            archive, _ = driver.run_schedule(emp_config)
+            emp_seconds = time.perf_counter() - tic
+            row = {
+                "t_final": t_final,
+                "empirical_seconds": emp_seconds,
+                "max_basis_count": int(max(archive.basis_counts())),
+            }
+            if with_gpc:
+                order = max(1, int(np.ceil(order_factor * t_final)))
+                window = pde_core.TimeWindow(config.t_start, t_final)
+                tic = time.perf_counter()
+                gpc.solve_gpc(problem, order, grid, window, config.step, rule)
+                row["gpc_seconds"] = time.perf_counter() - tic
+                row["gpc_order"] = order
+            rows.append(row)
 
     t = np.array([row["t_final"] for row in rows])
     emp = np.array([row["empirical_seconds"] for row in rows])

@@ -123,11 +123,10 @@ def truncate_pod(
         raise ValueError("threshold must lie in (0, 1)")
     if matrix.sample_count != len(rule):
         raise ValueError("trajectory column count must equal quadrature node count")
-    # the right singular vectors and singular values of T = QR are those of R
-    # (T. Chan's R-bidiagonalization), and R is small for a tall T. scipy keeps
-    # both factorizations in the BLAS thread pool of the Galerkin solves; with
-    # numpy's pool in between, the two pools' idle threads spin against each
-    # other and slow every threaded call on a two-core machine.
+    # the right singular vectors and singular values of T = QR are those of the
+    # small R (T. Chan's R-bidiagonalization), so only R is decomposed and no
+    # left vectors of the tall T are formed. The BLAS thread policy lives in
+    # the CLI (cli._one_blas_thread), not here.
     (r,) = scipy.linalg.qr(matrix.entries, mode="r", check_finite=False)
     _, sigma, vt = scipy.linalg.svd(r, full_matrices=False, check_finite=False)
     if sigma[0] == 0.0:

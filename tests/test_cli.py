@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
 import os
+import platform
+import resource
 
 import numpy as np
 import pytest
+import scipy
 
 from empchaos import cli
 from empchaos.basis_evolution import SingularBlock
@@ -14,6 +19,42 @@ from empchaos.pde_core import wave_exact_mean_square
 
 def _exit_at_once(*args):
     os._exit(1)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS set to two threads through ctypes; yields a
+    function that reads their counts by library basename, and restores the
+    counts found afterwards."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    pools = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in [("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")]:
+            if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                pools[os.path.basename(path)] = (get, put)
+                break
+    if not pools:
+        pytest.skip("no OpenBLAS with a thread-count setter is loaded")
+    found = {name: get() for name, (get, _) in pools.items()}
+    for _, put in pools.values():
+        put(2)
+
+    def read():
+        return {name: get() for name, (get, _) in pools.items()}
+
+    yield read
+    for name, (_, put) in pools.items():
+        put(found[name])
 
 
 def read_csv(path):
@@ -406,7 +447,7 @@ class TestRunCommand:
     def test_solver_divergence_exit_code(self, tmp_path, monkeypatch):
         from empchaos.pde_core import IntegrationDiverged
 
-        def exploding_solve(config, out):
+        def exploding_solve(config, emp_config, out):
             raise IntegrationDiverged(0.75)
 
         monkeypatch.setattr(cli, "_solve", exploding_solve)
@@ -476,6 +517,47 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "invalid-input"
         assert "step boundary" in manifest["error"]
+
+
+class TestBlasThreads:
+    """The CLI solves on one BLAS thread and restores the counts it found."""
+
+    @pytest.mark.parametrize("step,code,status", [
+        (None, 0, "ok"),
+        # a unit step breaks the CFL bound on 32 grid points
+        ("1.0", 1, "invalid-input"),
+    ])
+    def test_run_restores_thread_counts(self, tmp_path, two_blas_threads, step, code,
+                                        status):
+        argv = ["run", "--solver", "empirical", "--grid-size", "32",
+                "--node-count", "20", "--t-final", "1", "--output-dir", str(tmp_path)]
+        assert cli.main(argv + (["--step", step] if step else [])) == code
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == status
+        assert manifest["blas_threads"] == {name: 1 for name in two_blas_threads()}
+        assert set(two_blas_threads().values()) == {2}
+
+    @pytest.mark.parametrize("step,outcome", [
+        (None, contextlib.nullcontext()),
+        (1.0, pytest.raises(ValueError, match="step")),
+    ])
+    def test_scaling_study_restores_thread_counts(self, two_blas_threads, step, outcome):
+        config = ExperimentConfig(grid_size=32, node_count=20, outputs_per_window=3,
+                                  step=step)
+        with outcome:
+            cli.run_scaling_study(config, [1.0, 2.0, 3.0])
+        assert set(two_blas_threads().values()) == {2}
+
+    def test_manifest_records_environment(self, tmp_path):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        assert cli.main(["run", "--solver", "exact", "--grid-size", "32",
+                         "--t-final", "1", "--output-dir", str(tmp_path)]) == 0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert before <= manifest["peak_rss_mb"] <= after
 
 
 class TestCompareCommand:
