@@ -1,9 +1,11 @@
 """Time evolution of a frozen empirical basis for the wave operator.
 
 Projecting the wave dynamics onto fixed spatial coefficient functions yields a
-linear system for the stochastic basis whose solution is a matrix exponential
-per quadrature node. When the spatial Gram matrix is near singular the system
-is split into well-conditioned leading blocks.
+linear system for the stochastic basis, solved per quadrature node by the
+exponential of G^{-1} A, with G the spatial Gram matrix and A the
+antisymmetric part of the advection matrix. A near-singular G is split into
+well-conditioned leading blocks; each block's exponential comes from one
+Hermitian eigendecomposition and is G-orthogonal, so evolution cannot overflow.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ CONDITION_LIMIT = 1e12
 
 
 class SingularBlock(RuntimeError):
-    """Raised when the block split hits an irreducibly singular diagonal."""
+    """Raised when the block split hits an irreducibly singular diagonal, or a
+    Gram block is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -91,24 +94,13 @@ def block_decompose(pair: SpatialGalerkinPair) -> list[tuple[int, int]]:
     return blocks
 
 
-def _block_propagators(pair: SpatialGalerkinPair, blocks) -> list[tuple[int, int, np.ndarray]]:
-    out = []
-    for a, b in blocks:
-        gram = pair.gram[a:b, a:b]
-        try:
-            generator = scipy.linalg.solve(gram, pair.advect[a:b, a:b])
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularBlock(f"singular Gram block [{a}:{b}]") from exc
-        out.append((a, b, generator))
-    return out
-
-
 def evolve_basis(basis: BasisSet, pair: SpatialGalerkinPair, dt: float) -> BasisSet:
-    """Advance the basis by the exponential propagator exp(xi * G * dt) per
-    node, with G = gram^{-1} * advect computed blockwise.
+    """Advance the basis by exp(xi * dt * G^{-1} A) per node, with G the Gram
+    and A the antisymmetric part of ``advect``, one block at a time.
 
-    Orthonormality of the columns is not preserved. dt = 0 returns the basis
-    values unchanged.
+    The propagator is G-orthogonal (it keeps each node's coefficients at their
+    G-norm), so evolution cannot overflow; the columns' orthonormality is not
+    preserved. dt = 0 returns the basis values unchanged.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -117,36 +109,23 @@ def evolve_basis(basis: BasisSet, pair: SpatialGalerkinPair, dt: float) -> Basis
     if dt == 0.0:
         return basis
     values = basis.values.copy()
-    nodes = basis.rule.nodes
-    for a, b, generator in _block_propagators(pair, block_decompose(pair)):
-        values[:, a:b] = _apply_exponentials(generator, nodes * dt, values[:, a:b])
-    if not np.all(np.isfinite(values)):
-        raise OverflowError("matrix exponential overflowed during basis evolution")
+    scales = basis.rule.nodes * dt
+    for a, b in block_decompose(pair):
+        values[:, a:b] = _evolve_block(pair, a, b, scales, values[:, a:b])
     window = TimeWindow(basis.window.start + dt, basis.window.end + dt)
     return BasisSet(values=values, rule=basis.rule, window=window)
 
 
-def _apply_exponentials(generator: np.ndarray, scales: np.ndarray,
-                        segment: np.ndarray) -> np.ndarray:
-    """Rows of ``segment`` mapped through exp(scale_l * generator) per row.
-
-    Uses one eigendecomposition when the generator is safely diagonalizable,
-    otherwise a scaling-and-squaring exponential per node.
-    """
-    if generator.shape == (1, 1):
-        return segment * np.exp(scales[:, None] * generator[0, 0])
+def _evolve_block(pair: SpatialGalerkinPair, a: int, b: int, scales: np.ndarray,
+                  segment: np.ndarray) -> np.ndarray:
+    """Row l of ``segment`` mapped through exp(scales[l] G^{-1} A)^T on block
+    [a:b]: the Hermitian pencil (iA, G) has real eigenvalues mu and vectors V
+    with V^H G V = I, so exp(s G^{-1} A) = V diag(e^{-i s mu}) V^H G."""
+    gram, advect = pair.gram[a:b, a:b], pair.advect[a:b, a:b]
     try:
-        lam, vecs = np.linalg.eig(generator)
-        cond = np.linalg.cond(vecs)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < 1e8:
-        inv_vecs = np.linalg.inv(vecs)
-        # row_l -> row_l @ exp(scale_l G)^T = ((row V^-T) * e^{scale lam}) V^T
-        tmp = segment @ inv_vecs.T
-        tmp = tmp * np.exp(np.multiply.outer(scales, lam))
-        return np.real(tmp @ vecs.T)
-    out = np.empty_like(segment)
-    for l, scale in enumerate(scales):
-        out[l] = segment[l] @ scipy.linalg.expm(scale * generator).T
-    return out
+        mu, vecs = scipy.linalg.eigh(0.5j * (advect - advect.T), gram)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularBlock(f"Gram block [{a}:{b}] is not positive definite") from exc
+    coords = segment @ gram @ vecs.conj()
+    coords *= np.exp(-1j * np.multiply.outer(scales, mu))
+    return np.real(coords @ vecs.T)

@@ -7,9 +7,10 @@ over a set of final times, and compares statistic time series between runs.
 Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
 config file or series CSV, or input the solver rejects (such as a step that
 breaks the CFL bound, or output times with no common step), 2 solver
-divergence, an ill-conditioned basis, a failed basis evolution (a singular
-Gram block or an overflowing matrix exponential) or a Monte Carlo worker
-process that died, 3 comparison failure.
+divergence, an ill-conditioned basis, a failed basis evolution (a Gram block
+that is singular or not positive definite) or a Monte Carlo worker process
+that died, 3 comparison failure. scaling-study exits 1 and 2 on the same
+errors, without a manifest.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DIVERGED = 2
 EXIT_COMPARISON = 3
+# what a solve may raise on input it rejects (a ValueError, such as a step
+# that breaks the CFL bound or output times no one step can land on) or on
+# failing; _report_failure prints each and gives its exit code
+_SOLVE_ERRORS = (IntegrationDiverged, IllConditionedBasis, SingularBlock,
+                 BrokenExecutor, ValueError)
 
 _PROBLEMS = {
     "wave": pde_core.wave_problem,
@@ -434,20 +440,22 @@ def run_experiment(config: ExperimentConfig) -> int:
             tic = time.perf_counter()
             files, stage_seconds, extra = _solve(config, emp_config, out)
         manifest.update(files=files, stage_seconds=stage_seconds, **extra)
-    except (IntegrationDiverged, IllConditionedBasis, SingularBlock, OverflowError,
-            BrokenExecutor, ValueError) as exc:
-        # a ValueError is a setting the solver rejects, such as a step that
-        # breaks the CFL bound or output times no one step can land on
-        invalid = isinstance(exc, ValueError)
-        manifest.update(status="invalid-input" if invalid else "solver-error",
-                        error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_VALIDATION if invalid else EXIT_DIVERGED
+    except _SOLVE_ERRORS as exc:
+        code = _report_failure(exc)
+        manifest.update(status="invalid-input" if code == EXIT_VALIDATION
+                        else "solver-error", error=str(exc))
     manifest["total_seconds"] = time.perf_counter() - tic
     # this process's peak since it started, Monte Carlo workers not included
     manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write_text(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
     return code
+
+
+def _report_failure(exc: Exception) -> int:
+    """Print the error of a solve that raised one of _SOLVE_ERRORS and return
+    its exit code: 1 for input the solver rejects, 2 for a solver failure."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_DIVERGED
 
 
 def compare_series(path_a: str, path_b: str, tolerance: float) -> dict:
@@ -620,9 +628,12 @@ def main(argv=None) -> int:
 
         if args.command == "scaling-study":
             config = _build_config(args)
-            report = run_scaling_study(config, args.horizons,
-                                       with_gpc=not args.no_gpc,
-                                       order_factor=args.order_factor)
+            try:
+                report = run_scaling_study(config, args.horizons,
+                                           with_gpc=not args.no_gpc,
+                                           order_factor=args.order_factor)
+            except _SOLVE_ERRORS as exc:
+                return _report_failure(exc)
             write_scaling_artifacts(report, config.output_dir)
             print(json.dumps({k: v for k, v in report.items() if k != "rows"},
                              indent=2))

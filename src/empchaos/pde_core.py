@@ -188,11 +188,14 @@ def _plan_steps(window: TimeWindow, step: float) -> tuple[float, int, dict[int, 
     between consecutive instants of (start, *output_times, end). Returns
     (step, step count, {step index: output index}); an output that then
     misses a step boundary (as in a ragged last window with no common step
-    that long) or shares one with the output before it is a ValueError.
+    that long) or shares one with the output before it, or a step count that
+    overflows to infinity, is a ValueError.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     length = window.length
+    if not math.isfinite(length / step):
+        raise ValueError(f"step {step} is too small to count the steps")
     tol = 1e-8 * max(1.0, length)
     gaps = np.diff((window.start, *window.output_times, window.end))
     limit = max(int(np.ceil(length / step - 1e-12)),

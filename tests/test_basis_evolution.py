@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from empchaos import driver
+from empchaos import basis_evolution, driver
 from empchaos.basis_evolution import (
     SingularBlock,
     SpatialGalerkinPair,
@@ -100,13 +101,53 @@ class TestEvolveBasis:
         evolved = evolve_basis(basis, pair, 0.0)
         np.testing.assert_array_equal(evolved.values, basis.values)
 
-    def test_scalar_block_exponential(self, rule_120):
-        basis = BasisSet(values=np.ones((120, 1)), rule=rule_120,
+    def test_rotation_block_exponential(self, rule_120):
+        # gram g*I and advect [[0, a], [-a, 0]] rotate each node's coefficients
+        # by xi * dt * a / g
+        g, a, dt = 2.0, 0.7, 0.3
+        basis = BasisSet(values=np.tile([1.0, 2.0], (120, 1)), rule=rule_120,
                          window=TimeWindow(0.0, 1.0))
-        pair = SpatialGalerkinPair(gram=np.array([[2.0]]), advect=np.array([[0.5]]))
-        evolved = evolve_basis(basis, pair, 0.3)
-        expected = np.exp(rule_120.nodes * (0.5 / 2.0) * 0.3)
-        np.testing.assert_allclose(evolved.values[:, 0], expected, atol=1e-13)
+        pair = SpatialGalerkinPair(gram=g * np.eye(2),
+                                   advect=np.array([[0.0, a], [-a, 0.0]]))
+        evolved = evolve_basis(basis, pair, dt)
+        theta = rule_120.nodes * dt * a / g
+        expected = np.column_stack([np.cos(theta) + 2.0 * np.sin(theta),
+                                    2.0 * np.cos(theta) - np.sin(theta)])
+        np.testing.assert_allclose(evolved.values, expected, rtol=0.0, atol=1e-13)
+
+    def test_matches_per_node_expm(self, wave, rule_120, monkeypatch):
+        # the pair of a real evolve window, split into several blocks
+        calls = []
+        evolve = basis_evolution.evolve_basis
+
+        def recording(basis, pair, dt):
+            calls.append((basis, pair, dt))
+            return evolve(basis, pair, dt)
+
+        monkeypatch.setattr(basis_evolution, "evolve_basis", recording)
+        driver.run_schedule(driver.EmpiricalConfig(
+            problem=wave, grid=SpatialGrid(32), rule=rule_120, window_length=1.0,
+            t_final=2.0, schedule=driver.alternating_schedule))
+        basis, pair, dt = calls[0]
+        blocks = block_decompose(pair)
+        assert len(blocks) > 1
+        expected = basis.values.copy()
+        for a, b in blocks:
+            generator = np.linalg.solve(pair.gram[a:b, a:b], pair.advect[a:b, a:b])
+            for l, xi in enumerate(rule_120.nodes):
+                expected[l, a:b] = basis.values[l, a:b] @ expm(xi * dt * generator).T
+        evolved = evolve_basis(basis, pair, dt)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(evolved.values, expected, rtol=0.0,
+                                   atol=1e-13 * scale)
+
+    def test_indefinite_gram_raises(self, rule_120):
+        basis = BasisSet(values=np.ones((120, 2)), rule=rule_120,
+                         window=TimeWindow(0.0, 1.0))
+        pair = SpatialGalerkinPair(gram=np.diag([1.0, -1.0]),
+                                   advect=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(SingularBlock, match="not positive definite"):
+            evolve_basis(basis, pair, 0.1)
 
     def test_window_shifts_by_dt(self, rule_120):
         basis = BasisSet(values=np.ones((120, 1)), rule=rule_120,

@@ -320,8 +320,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("error", [
         SingularBlock("zero diagonal entry at index 2"),
-        OverflowError("matrix exponential overflowed during basis evolution"),
-    ], ids=["singular-block", "overflow"])
+    ], ids=["singular-block"])
     def test_basis_evolution_failure_writes_manifest(self, tmp_path, monkeypatch,
                                                      error):
         def failing_evolve(basis, pair, dt):
@@ -459,18 +458,25 @@ class TestRunCommand:
         assert manifest["status"] == "solver-error"
         assert "diverged" in manifest["error"]
 
-    @pytest.mark.parametrize("solver", ["empirical"])
-    def test_invalid_step_exits_validation(self, tmp_path, solver):
+    @pytest.mark.parametrize("solver,step,message", [
+        ("empirical", "1.0", "CFL number 0.509"),
+        ("empirical", "1e-320", "step 1e-320 is too small"),
+        ("gpc", "1e-320", "step 1e-320 is too small"),
+    ], ids=["empirical", "empirical-uncountable", "gpc-uncountable"])
+    def test_invalid_step_exits_validation(self, tmp_path, capsys, solver, step,
+                                           message):
         # a unit step, fitted to the 0.1 output spacing, is still CFL 0.509
-        # on 32 grid points
+        # on 32 grid points; a 1e-320 step has no finite step count
         out = tmp_path / solver
         code = cli.main(["run", "--solver", solver, "--grid-size", "32",
                          "--node-count", "20", "--order", "4", "--t-final", "1",
-                         "--step", "1.0", "--output-dir", str(out)])
+                         "--step", step, "--output-dir", str(out)])
         assert code == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "invalid-input"
+        assert message in manifest["error"]
         assert "step" in manifest["error"].lower()
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_step_is_fitted_to_the_output_times(self, tmp_path):
         def run(step):
@@ -633,6 +639,31 @@ class TestScalingStudy:
         config = ExperimentConfig(grid_size=32, node_count=20)
         with pytest.raises(ConfigError, match=field):
             cli.run_scaling_study(config, horizons, order_factor=order_factor)
+
+    @pytest.mark.parametrize("step,message", [
+        ("1.0", "CFL number 0.509"),
+        ("1e-320", "step 1e-320 is too small"),
+    ], ids=["cfl", "uncountable"])
+    def test_rejected_step_exits_validation(self, tmp_path, capsys, step, message):
+        code = cli.main(["scaling-study", "--grid-size", "32", "--node-count", "20",
+                         "--step", step, "--horizons", "1", "2", "3",
+                         "--output-dir", str(tmp_path / "study")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "study").exists()
+
+    def test_solver_failure_exits_diverged(self, tmp_path, capsys, monkeypatch):
+        from empchaos.pde_core import IntegrationDiverged
+
+        def exploding_schedule(config):
+            raise IntegrationDiverged(0.75)
+
+        monkeypatch.setattr(cli.driver, "run_schedule", exploding_schedule)
+        code = cli.main(["scaling-study", "--grid-size", "32", "--node-count", "20",
+                         "--horizons", "1", "2", "3",
+                         "--output-dir", str(tmp_path / "study")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_report_structure_and_artifacts(self, tmp_path):
         config = ExperimentConfig(grid_size=32, node_count=20,
