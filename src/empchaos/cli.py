@@ -255,6 +255,8 @@ def _read_series(path: str):
         times, values = np.array([[float(r[0]), float(r[1])] for r in rows]).T
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{path}: malformed data row ({exc})") from exc
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        raise ConfigError(f"{path}: times must be finite and strictly increasing")
     return times, values
 
 
@@ -463,6 +465,8 @@ def compare_series(path_a: str, path_b: str, tolerance: float) -> dict:
 
     Series B is linearly interpolated onto A's time points inside the overlap.
     """
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"tolerance: must be finite and nonnegative, got {tolerance!r}")
     times_a, values_a = _read_series(path_a)
     times_b, values_b = _read_series(path_b)
     lo = max(times_a.min(), times_b.min())

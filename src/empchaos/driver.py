@@ -2,8 +2,10 @@
 
 Plans the time windows first, then runs one loop over them: each window
 chooses its stochastic basis (resampled and truncated by POD, advanced by the
-matrix-exponential basis evolution, or held), moves the coefficients onto a
-new basis, and propagates. Sampling and propagation get the one base step
+matrix-exponential basis evolution, or held) and propagates. At every seam
+with a new basis, window 0 included, the solution at the quadrature nodes is
+projected onto that basis in the probability measure; one projection serves
+every seam. Sampling and propagation get the one base step
 (``step`` or ``pde_core.default_step``); the solvers fit it to each window's
 output times. Per-stage wall-clock timings are recorded.
 """
@@ -21,7 +23,6 @@ from .galerkin import (
     ExpansionArchive,
     WindowRecord,
     assemble_matrices,
-    change_basis,
     project_node_values,
     propagate_window,
 )
@@ -141,24 +142,27 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     """Empirical chaos with a per-window schedule.
 
     Each planned window first chooses its basis: ``resample`` samples
-    trajectories from the current solution and truncates them by POD,
-    ``evolve`` advances the previous basis by the matrix-exponential
-    operator, ``hold`` keeps it. A new basis gets its Galerkin matrices and
-    the coefficients are moved onto it; then the window is propagated.
+    trajectories from the current solution at the nodes (``u_nodes``) and
+    truncates them by POD, ``evolve`` advances the previous basis by the
+    matrix-exponential operator, ``hold`` keeps it. A new basis gets its
+    Galerkin matrices and ``u_nodes`` projected onto it; then the window is
+    propagated.
     """
     timings = StageTimings()
     archive = ExpansionArchive()
     grid, rule, problem = config.grid, config.rule, config.problem
     step = config.step if config.step is not None else default_step(grid)
 
+    u0 = np.asarray(problem.initial_condition(grid.points), dtype=float)
     basis = matrices = current_field = None
     for action, window in window_plan(config):
+        if action != HOLD:
+            # the solution at the nodes: the shared initial state on window 0
+            tic = time.perf_counter()
+            u_nodes = (np.broadcast_to(u0, (len(rule), grid.point_count)) if basis is None
+                       else basis.reconstruct(current_field.coefficients))
+            timings.add("change_of_basis", time.perf_counter() - tic)
         if action == RESAMPLE:
-            if current_field is None:
-                u0 = np.asarray(problem.initial_condition(grid.points), dtype=float)
-                u_nodes = np.broadcast_to(u0, (len(rule), grid.point_count)).copy()
-            else:
-                u_nodes = basis.reconstruct(current_field.coefficients)
             tic = time.perf_counter()
             trajectories = solve_ensemble(problem, rule.nodes, u_nodes, window, grid, step)
             timings.add("sampling", time.perf_counter() - tic)
@@ -180,12 +184,7 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             timings.add("assembly", time.perf_counter() - tic)
 
             tic = time.perf_counter()
-            if current_field is None:
-                # deterministic initial data: all node trajectories share u0
-                current_field = project_node_values(u_nodes, new_basis, matrices,
-                                                    time_stamp=window.start)
-            else:
-                current_field = change_basis(current_field, basis, new_basis, matrices)
+            current_field = project_node_values(u_nodes, new_basis, matrices)
             timings.add("change_of_basis", time.perf_counter() - tic)
             basis = new_basis
 

@@ -1,9 +1,10 @@
 """Stochastic Galerkin systems for general (non-orthogonal) basis sets.
 
-Assembles mass/advection matrices by quadrature, projects functions and
-initial conditions, converts coefficients between bases, propagates the
-implicit coefficient ODE with RK4 (in Fourier space for the wave problem),
-and evaluates solution statistics from the archive of solved windows.
+Assembles mass/advection matrices by quadrature, projects solution values at
+the quadrature nodes onto a basis (the one projection used at every window
+seam, window 0 included), propagates the implicit coefficient ODE with RK4
+(in Fourier space for the wave problem), and evaluates solution statistics
+from the archive of solved windows.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ __all__ = [
     "WindowRecord",
     "ExpansionArchive",
     "assemble_matrices",
-    "project_function",
     "project_node_values",
-    "project_initial_condition",
-    "change_basis",
     "propagate_window",
 ]
 
@@ -98,7 +96,6 @@ class CoefficientField:
     """Galerkin coefficients for one basis: coefficients[i, x] = u_hat^i(x)."""
 
     coefficients: np.ndarray
-    time_stamp: float
     basis_id: str
 
     def __post_init__(self):
@@ -111,54 +108,19 @@ class CoefficientField:
             raise ValueError("coefficients contain non-finite entries")
 
 
-def project_function(values_at_nodes: np.ndarray, basis: BasisSet,
-                     matrices: GalerkinMatrices | None = None) -> np.ndarray:
-    """Least-squares-in-measure projection: solve mass * c = E[u * Psi_j]."""
-    values = np.asarray(values_at_nodes, dtype=float)
-    if values.shape[0] != len(basis.rule):
-        raise ValueError("values must be given at the basis's quadrature nodes")
-    if matrices is None:
-        matrices = assemble_matrices(basis)
-    rhs = basis.values.T @ (basis.rule.weights[:, None] * values if values.ndim > 1
-                            else basis.rule.weights * values)
-    return matrices.solve(rhs)
-
-
 def project_node_values(values: np.ndarray, basis: BasisSet,
-                        matrices: GalerkinMatrices | None = None,
-                        time_stamp: float = 0.0) -> CoefficientField:
-    """Project per-node solution values u(x, xi_l), shape (K, M), onto the basis."""
-    coeffs = project_function(values, basis, matrices)
-    return CoefficientField(coefficients=coeffs, time_stamp=time_stamp, basis_id=basis.label)
+                        matrices: GalerkinMatrices | None = None) -> CoefficientField:
+    """Project per-node solution values u(xi_l, x), shape (K, M), onto the basis.
 
-
-def project_initial_condition(problem: PdeProblem, basis: BasisSet, grid: SpatialGrid,
-                              matrices: GalerkinMatrices | None = None,
-                              time_stamp: float = 0.0) -> CoefficientField:
-    """Project a deterministic (constant-in-xi) initial condition onto the basis."""
-    u0 = np.asarray(problem.initial_condition(grid.points), dtype=float)
+    The projection in the probability measure: solve mass * c = E[u * Psi_j].
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != len(basis.rule):
+        raise ValueError("values must be (node count, grid size) at the basis's nodes")
     if matrices is None:
         matrices = assemble_matrices(basis)
-    g = basis.values.T @ basis.rule.weights  # E[Psi_j]
-    coeffs = np.outer(matrices.solve(g), u0)
-    return CoefficientField(coefficients=coeffs, time_stamp=time_stamp, basis_id=basis.label)
-
-
-def change_basis(field: CoefficientField, old_basis: BasisSet, new_basis: BasisSet,
-                 new_matrices: GalerkinMatrices | None = None) -> CoefficientField:
-    """Re-express coefficients in a new basis sharing the same quadrature rule."""
-    if not old_basis.rule.same_nodes(new_basis.rule):
-        raise ValueError("bases must share the quadrature rule")
-    if field.basis_id != old_basis.label:
-        raise ValueError("coefficient field is not expressed in old_basis")
-    if new_matrices is None:
-        new_matrices = assemble_matrices(new_basis)
-    w = new_basis.rule.weights
-    cross = new_basis.values.T @ (w[:, None] * old_basis.values)  # X[j, i] = E[Psi_old^i Psi_new^j]
-    b = cross @ field.coefficients
-    coeffs = new_matrices.solve(b)
-    return CoefficientField(coefficients=coeffs, time_stamp=field.time_stamp,
-                            basis_id=new_basis.label)
+    rhs = basis.values.T @ (basis.rule.weights[:, None] * values)
+    return CoefficientField(coefficients=matrices.solve(rhs), basis_id=basis.label)
 
 
 @dataclass(frozen=True)
@@ -171,8 +133,7 @@ class CoefficientTrajectory:
 
     @property
     def final(self) -> CoefficientField:
-        return CoefficientField(coefficients=self.coefficients[-1],
-                                time_stamp=self.times[-1], basis_id=self.basis_id)
+        return CoefficientField(coefficients=self.coefficients[-1], basis_id=self.basis_id)
 
 
 def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisSet,

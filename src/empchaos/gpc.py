@@ -51,18 +51,17 @@ def default_rule(node_count: int = DEFAULT_NODE_COUNT) -> QuadratureRule:
     return trapezoid_rule(chebyshev_nodes(node_count))
 
 
-def legendre_advection_matrix(order: int, rule: QuadratureRule | None = None) -> np.ndarray:
+def legendre_advection_matrix(order: int) -> np.ndarray:
     """Advection coupling A[j, i] = E[xi * L_j * L_i] for the first ``order``
     normalized Legendre polynomials; tridiagonal with zero diagonal.
 
-    By default the entries are exact to roundoff: a Gauss-Legendre rule of
-    ``order + 1`` nodes integrates the degree-(2*order - 1) integrands
-    exactly, matching a symbolic precomputation.
+    The entries are exact to roundoff: a Gauss-Legendre rule of ``order + 1``
+    nodes integrates the degree-(2*order - 1) integrands exactly, matching a
+    symbolic precomputation.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if rule is None:
-        rule = gauss_legendre_rule(order + 1)
+    rule = gauss_legendre_rule(order + 1)
     table = legendre_table(order, rule.nodes)
     a = table.T @ ((rule.weights * rule.nodes)[:, None] * table)
     return 0.5 * (a + a.T)

@@ -37,7 +37,6 @@ __all__ = [
     "integrate_ode",
     "integrate_advection",
     "integrate_reaction",
-    "solve_fixed_xi",
     "solve_ensemble",
     "wave_exact_mean_square",
     "wave_exact_mean",
@@ -405,21 +404,6 @@ def integrate_reaction(
     if diverged is not None:
         raise diverged
     return states
-
-
-def solve_fixed_xi(
-    problem: PdeProblem,
-    xi: float,
-    initial: np.ndarray,
-    window: TimeWindow,
-    grid: SpatialGrid,
-    step: float | None = None,
-) -> np.ndarray:
-    """Method-of-lines solution of the deterministic PDE at a fixed sample.
-
-    Returns states of shape (n_output_times, M).
-    """
-    return solve_ensemble(problem, np.array([xi]), initial, window, grid, step)[:, 0, :]
 
 
 def solve_ensemble(

@@ -63,11 +63,6 @@ class QuadratureRule:
     def __len__(self) -> int:
         return self.nodes.size
 
-    def same_nodes(self, other: "QuadratureRule") -> bool:
-        return self.nodes.shape == other.nodes.shape and np.array_equal(
-            self.nodes, other.nodes
-        )
-
 
 def chebyshev_nodes(count: int) -> np.ndarray:
     """Chebyshev-Gauss-Lobatto points on [-1, 1], ascending.

@@ -13,7 +13,7 @@ from empchaos import cli, driver, gpc
 from empchaos.basis_evolution import spatial_pair
 from empchaos.galerkin import (
     assemble_matrices,
-    project_initial_condition,
+    project_node_values,
     propagate_window,
 )
 from empchaos.montecarlo import McConfig, mc_statistics
@@ -21,7 +21,6 @@ from empchaos.pde_core import (
     SpatialGrid,
     TimeWindow,
     solve_ensemble,
-    solve_fixed_xi,
     wave_exact_mean_square,
     wave_problem,
     advection_reaction_problem,
@@ -112,7 +111,9 @@ def test_criterion_4_cross_path_equivalence():
     basis = BasisSet(values=legendre_table(order, rule.nodes), rule=rule,
                      window=window)
     matrices = assemble_matrices(basis)
-    field = project_initial_condition(problem, basis, grid, matrices)
+    u0 = np.broadcast_to(problem.initial_condition(grid.points),
+                         (len(rule), grid.point_count))
+    field = project_node_values(u0, basis, matrices)
     trajectory = propagate_window(problem, field, basis, window, grid, step,
                                   matrices)
     system = gpc.solve_gpc(problem, order, grid, window, step)
@@ -221,8 +222,8 @@ def test_criterion_8_invariant_suite():
     psd = bool(np.min(np.linalg.eigvalsh(mass)) > -1e-12)
     checks.append(("mass matrix symmetric and positive semidefinite", sym and psd))
 
-    u = solve_fixed_xi(problem, 1.0, np.cos(grid.points),
-                       TimeWindow.with_uniform_outputs(0.0, 10.0, 2), grid)
+    u = solve_ensemble(problem, [1.0], np.cos(grid.points),
+                       TimeWindow.with_uniform_outputs(0.0, 10.0, 2), grid)[:, 0]
     energy = grid.spacing * np.sum(u**2, axis=1)
     checks.append(("wave energy drift <= 1e-6 relative to t = 10",
                    abs(energy[-1] - energy[0]) / energy[0] <= 1e-6))

@@ -609,6 +609,30 @@ class TestCompareCommand:
         cli.write_series(str(b), [5.0, 6.0], [1.0, 1.0])
         assert cli.main(["compare", str(a), str(b)]) == 1
 
+    @pytest.mark.parametrize("rows", [
+        "t,value\n2,0.5\n0,1\n1,0\n",
+        "t,value\n0,1\n1,0\n1,0\n2,0.5\n",
+        "t,value\n0,1\nnan,0\n2,0.5\n",
+    ], ids=["reordered", "repeated", "nan-time"])
+    def test_unordered_times_exit_validation(self, tmp_path, capsys, rows):
+        # the same series as a.csv, rows reordered, is not a mismatch to report
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        cli.write_series(str(a), [0.0, 1.0, 2.0], [1.0, 0.0, 0.5])
+        b.write_text(rows)
+        assert cli.main(["compare", str(a), str(b)]) == 1
+        assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_exits_validation(self, tmp_path, capsys, tolerance):
+        a = tmp_path / "a.csv"
+        cli.write_series(str(a), [0.0, 1.0], [1.0, 1.0])
+        report_path = tmp_path / "report.json"
+        assert cli.main(["compare", str(a), str(a), "--tolerance", tolerance,
+                         "--report", str(report_path)]) == 1
+        assert "tolerance" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_interpolates_between_grids(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

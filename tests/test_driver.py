@@ -14,6 +14,7 @@ from empchaos.driver import (
     window_plan,
 )
 from empchaos.pde_core import SpatialGrid, TimeWindow, wave_exact_mean_square
+from empchaos.random_space import chebyshev_nodes, trapezoid_rule
 
 
 class TestSchedules:
@@ -166,6 +167,28 @@ class TestRunSchedule:
         assert len(archive.records) == 5
         assert timings.basis_evolution > 0.0
         assert archive.records[-1].window.end == pytest.approx(2.0)
+
+    def test_seam_is_projection_of_incoming_field(self, wave):
+        # at a seam the new coefficients are the L2(rho) projection of the
+        # previous window's final field: M_new^-1 (V_new^T W V_old) c_old
+        rule = trapezoid_rule(chebyshev_nodes(20))
+        config = EmpiricalConfig(problem=wave, grid=SpatialGrid(32), rule=rule,
+                                 window_length=1.0, t_final=3.0,
+                                 schedule=alternating_schedule)
+        records = run_schedule(config)[0].records
+        actions = [action for action, _ in window_plan(config)]
+        evolve_seam = actions.index(EVOLVE)
+        resample_seam = actions.index(RESAMPLE, evolve_seam)
+        weighted = rule.weights[:, None]
+        for index in (evolve_seam, resample_seam):
+            old, new = records[index - 1], records[index]
+            assert new.basis is not old.basis
+            v_old, v_new = old.basis.values, new.basis.values
+            expected = np.linalg.solve(v_new.T @ (weighted * v_new),
+                                       v_new.T @ (weighted * v_old)
+                                       @ old.trajectory.coefficients[-1])
+            np.testing.assert_allclose(new.trajectory.coefficients[0], expected,
+                                       rtol=0.0, atol=1e-12)
 
     def test_evolve_rejected_for_reaction(self, advection_reaction, rule_300):
         grid = SpatialGrid(64)

@@ -1,6 +1,7 @@
 """The module entry point, the package import and the experiment scripts, each
-run in a fresh interpreter."""
+run in a fresh interpreter, and the names each module exports."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,13 @@ def test_module_entry_point_runs_without_warning(tmp_path):
                     "--output-dir", str(tmp_path / "exact"), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "exact" / "manifest.json").exists()
+
+
+def test_every_exported_name_is_defined():
+    for name in [*empchaos.__all__, "cli"]:
+        module = importlib.import_module(f"empchaos.{name}")
+        missing = [item for item in module.__all__ if not hasattr(module, item)]
+        assert not missing, f"empchaos.{name}.__all__ names undefined {missing}"
 
 
 def test_package_import_leaves_cli_unloaded(tmp_path):

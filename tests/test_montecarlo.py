@@ -10,7 +10,6 @@ from empchaos.pde_core import (
     SpatialGrid,
     TimeWindow,
     solve_ensemble,
-    solve_fixed_xi,
     wave_exact_mean_square,
 )
 
@@ -40,8 +39,8 @@ class TestStatistics:
         config = McConfig(problem=wave, grid=small_grid, window=window,
                           sample_count=1, xi_values=np.array([0.0]), step=1e-2)
         result = mc_statistics(config)
-        direct = solve_fixed_xi(wave, 0.0, np.cos(small_grid.points), window,
-                                small_grid, step=1e-2)
+        direct = solve_ensemble(wave, [0.0], np.cos(small_grid.points), window,
+                                small_grid, step=1e-2)[:, 0]
         np.testing.assert_array_equal(result.mean, direct)
         np.testing.assert_array_equal(result.mean_square, direct**2)
         np.testing.assert_allclose(result.stderr_mean, 0.0, atol=1e-14)

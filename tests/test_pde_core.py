@@ -7,8 +7,7 @@ from empchaos import pde_core
 from empchaos.basis_evolution import evolve_basis, spatial_pair
 from empchaos.galerkin import (
     assemble_matrices,
-    change_basis,
-    project_initial_condition,
+    project_node_values,
     propagate_window,
 )
 from empchaos.pde_core import (
@@ -21,7 +20,6 @@ from empchaos.pde_core import (
     integrate_ode,
     integrate_reaction,
     solve_ensemble,
-    solve_fixed_xi,
     spatial_derivative,
     wave_exact_mean,
     wave_exact_mean_square,
@@ -239,6 +237,12 @@ def sampled_pod_basis(wave, rule, grid, window):
                         1e-4, rule, window)
 
 
+def initial_field(basis, grid, matrices):
+    """The wave's initial condition cos(x), shared by every node, projected."""
+    u0 = np.broadcast_to(np.cos(grid.points), (len(basis.rule), grid.point_count))
+    return project_node_values(u0, basis, matrices)
+
+
 def galerkin_march(matrices, field, window, grid, step):
     """The wave Galerkin system c' = mass^-1 * advection * D c, marched."""
     solved = matrices.solve(matrices.advection)
@@ -266,7 +270,7 @@ class TestIntegrateAdvection:
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
         basis = sampled_pod_basis(wave, rule_120, grid, window)
         matrices = assemble_matrices(basis)
-        field = project_initial_condition(wave, basis, grid, matrices)
+        field = initial_field(basis, grid, matrices)
         trajectory = propagate_window(wave, field, basis, window, grid, 1e-2, matrices)
         assert_matches_march(trajectory.coefficients,
                              galerkin_march(matrices, field, window, grid, 1e-2))
@@ -276,13 +280,14 @@ class TestIntegrateAdvection:
         first = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
         basis = sampled_pod_basis(wave, rule_120, grid, first)
         matrices = assemble_matrices(basis)
-        field = project_initial_condition(wave, basis, grid, matrices)
+        field = initial_field(basis, grid, matrices)
         field = propagate_window(wave, field, basis, first, grid, 1e-2, matrices).final
         evolved = evolve_basis(basis, spatial_pair(field.coefficients, grid), 0.1)
         gram = evolved.values.T @ evolved.values
         assert not np.allclose(gram, np.eye(evolved.size), atol=1e-6)
         evolved_matrices = assemble_matrices(evolved)
-        field = change_basis(field, basis, evolved, evolved_matrices)
+        field = project_node_values(basis.reconstruct(field.coefficients), evolved,
+                                    evolved_matrices)
         window = TimeWindow.with_uniform_outputs(1.0, 1.1, 2)
         trajectory = propagate_window(wave, field, evolved, window, grid, 1e-2,
                                       evolved_matrices)
@@ -335,14 +340,14 @@ class TestIntegrateReaction:
     """The blocked, sample-major RK4 kernel against the march it replaces,
     compared bit for bit."""
 
-    def test_single_sample_through_solve_fixed_xi(self, advection_reaction):
+    def test_single_sample_through_solve_ensemble(self, advection_reaction):
         grid = SpatialGrid(128)
         u0 = advection_reaction.initial_condition(grid.points)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
-        states = solve_fixed_xi(advection_reaction, 0.7, u0, window, grid, 1e-2)
+        states = solve_ensemble(advection_reaction, [0.7], u0, window, grid, 1e-2)
         marched = reaction_march(advection_reaction, [0.7], u0[None, :], window,
                                  grid, 1e-2)
-        np.testing.assert_array_equal(states, marched[:, 0, :])
+        np.testing.assert_array_equal(states, marched)
 
     @pytest.mark.parametrize("points,extra_blocks,extra_rows",
                              [(64, 1, 1), (64, 2, 3), (65, 2, 3)])
@@ -445,27 +450,28 @@ class TestSolveFixedXi:
     def test_zero_speed_wave_is_frozen(self, wave):
         grid = SpatialGrid(64)
         u0 = np.cos(grid.points)
-        states = solve_fixed_xi(wave, 0.0, u0, TimeWindow(0.0, 3.0), grid)
+        states = solve_ensemble(wave, [0.0], u0, TimeWindow(0.0, 3.0), grid)[:, 0]
         np.testing.assert_allclose(states[-1], u0, atol=1e-12)
 
     def test_wave_transport_solution(self, wave):
         grid = SpatialGrid(256)
         u0 = np.cos(grid.points)
-        states = solve_fixed_xi(wave, 1.0, u0, TimeWindow(0.0, 1.0), grid)
+        states = solve_ensemble(wave, [1.0], u0, TimeWindow(0.0, 1.0), grid)[:, 0]
         np.testing.assert_allclose(states[-1], np.cos(grid.points + 1.0), atol=5e-3)
 
     def test_reaction_only_closed_form(self, advection_reaction):
         grid = SpatialGrid(128)
         u0 = advection_reaction.initial_condition(grid.points)
-        states = solve_fixed_xi(advection_reaction, 0.0, u0, TimeWindow(0.0, 2.0),
-                                grid, step=1e-3)
+        states = solve_ensemble(advection_reaction, [0.0], u0, TimeWindow(0.0, 2.0),
+                                grid, step=1e-3)[:, 0]
         expected = (np.sqrt(u0) + 0.05 * 2.0) ** 2
         np.testing.assert_allclose(states[-1], expected, atol=1e-4)
 
     def test_wave_energy_conservation(self, wave):
         grid = SpatialGrid(256)
         u0 = np.cos(grid.points)
-        states = solve_fixed_xi(wave, 0.7, u0, TimeWindow(0.0, 10.0), grid, step=1e-3)
+        states = solve_ensemble(wave, [0.7], u0, TimeWindow(0.0, 10.0), grid,
+                                step=1e-3)[:, 0]
         energy0 = grid.spacing * np.sum(states[0] ** 2)
         energy1 = grid.spacing * np.sum(states[-1] ** 2)
         assert abs(energy1 - energy0) / energy0 < 1e-6
@@ -475,7 +481,7 @@ class TestSolveFixedXi:
         u0 = advection_reaction.initial_condition(grid.points)
         assert np.min(u0) >= 0.5
         for xi in (-1.0, -0.3, 0.8):
-            states = solve_fixed_xi(advection_reaction, xi, u0,
+            states = solve_ensemble(advection_reaction, [xi], u0,
                                     TimeWindow(0.0, 5.0), grid)
             assert np.min(states) > 0.0
 
@@ -488,8 +494,8 @@ class TestSolveEnsemble:
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
         stacked = solve_ensemble(wave, xis, u0, window, grid, step=1e-2)
         for k, xi in enumerate(xis):
-            single = solve_fixed_xi(wave, xi, u0, window, grid, step=1e-2)
-            np.testing.assert_array_equal(stacked[:, k, :], single)
+            single = solve_ensemble(wave, [xi], u0, window, grid, step=1e-2)
+            np.testing.assert_array_equal(stacked[:, k, :], single[:, 0, :])
 
     def test_cfl_guard(self, wave):
         grid = SpatialGrid(64)
