@@ -257,6 +257,8 @@ def _read_series(path: str):
         raise ConfigError(f"{path}: malformed data row ({exc})") from exc
     if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
         raise ConfigError(f"{path}: times must be finite and strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: values must be finite")
     return times, values
 
 
@@ -305,8 +307,10 @@ def _empirical_config(config: ExperimentConfig) -> driver.EmpiricalConfig:
 
 
 def _blas_pools() -> dict[str, tuple]:
-    """(getter, setter) of the thread count of each OpenBLAS loaded in this
-    process, by library basename; empty where /proc/self/maps is missing."""
+    """(getter, setter, shutdown) of each OpenBLAS loaded in this process, by
+    library basename: the thread count's getter and setter, and the call that
+    stops the worker threads (None where the build does not export it).
+    Empty where /proc/self/maps is missing."""
     try:
         with open("/proc/self/maps") as handle:
             paths = sorted({line.split()[-1] for line in handle
@@ -321,7 +325,10 @@ def _blas_pools() -> dict[str, tuple]:
             if getter is not None and setter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                pools[os.path.basename(path)] = (getter, setter)
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                pools[os.path.basename(path)] = (getter, setter, shutdown)
                 break
     return pools
 
@@ -335,16 +342,26 @@ def _one_blas_thread():
     threaded pools spin against each other, and the solves' matrices are too
     small to gain from a second thread. The second core serves the Monte Carlo
     worker processes instead, which inherit the setting and make no BLAS call.
+
+    Each count is set with the worker threads stopped: an idle worker spins
+    for about 0.1 s after threaded work or a restart (setting a count restarts
+    a stopped pool), and a one-thread solve started in that time ran about
+    twice as slow. The next threaded call restarts them, as after a fork.
     """
     pools = _blas_pools()
-    found = {name: getter() for name, (getter, _) in pools.items()}
+    found = {name: getter() for name, (getter, _, _) in pools.items()}
+
+    def set_counts(counts):
+        for name, (_, setter, shutdown) in pools.items():
+            setter(counts[name])
+            if shutdown is not None:
+                shutdown()
+
     try:
-        for _, setter in pools.values():
-            setter(1)
-        yield {name: getter() for name, (getter, _) in pools.items()}
+        set_counts(dict.fromkeys(pools, 1))
+        yield {name: getter() for name, (getter, _, _) in pools.items()}
     finally:
-        for name, (_, setter) in pools.items():
-            setter(found[name])
+        set_counts(found)
 
 
 def _solve(config: ExperimentConfig, emp_config: driver.EmpiricalConfig,
@@ -438,15 +455,17 @@ def run_experiment(config: ExperimentConfig) -> int:
         with _one_blas_thread() as threads:
             manifest["blas_threads"] = threads
             # the stages cover the total: building the config, grid and rule
-            # and setting the threads are set-up, not solve
+            # and setting and restoring the threads are set-up, not solve
             tic = time.perf_counter()
-            files, stage_seconds, extra = _solve(config, emp_config, out)
+            try:
+                files, stage_seconds, extra = _solve(config, emp_config, out)
+            finally:
+                manifest["total_seconds"] = time.perf_counter() - tic
         manifest.update(files=files, stage_seconds=stage_seconds, **extra)
     except _SOLVE_ERRORS as exc:
         code = _report_failure(exc)
         manifest.update(status="invalid-input" if code == EXIT_VALIDATION
                         else "solver-error", error=str(exc))
-    manifest["total_seconds"] = time.perf_counter() - tic
     # this process's peak since it started, Monte Carlo workers not included
     manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write_text(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")

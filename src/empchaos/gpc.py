@@ -22,7 +22,6 @@ from .pde_core import (
 from .random_space import (
     QuadratureRule,
     chebyshev_nodes,
-    expectation,
     gauss_legendre_rule,
     legendre_table,
     trapezoid_rule,
@@ -37,7 +36,6 @@ __all__ = [
     "solve_gpc",
     "mean_square_series",
     "mean_series",
-    "project_exact_wave",
 ]
 
 DEFAULT_NODE_COUNT = 300
@@ -129,15 +127,3 @@ def mean_series(system: GpcSystem, x_index: int = 0) -> np.ndarray:
     """E[u] over time at one grid point: the constant-mode coefficient."""
     return system.coefficients[:, 0, x_index]
 
-
-def project_exact_wave(order: int, t: float, rule: QuadratureRule | None = None) -> float:
-    """Mean square expectation at x = 0 of the exact wave solution projected
-    onto the first ``order`` normalized Legendre polynomials."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if rule is None:
-        rule = default_rule()
-    table = legendre_table(order, rule.nodes)
-    exact = np.cos(rule.nodes * t)
-    coeffs = np.array([expectation(exact * table[:, i], rule) for i in range(order)])
-    return float(np.sum(coeffs**2))

@@ -3,6 +3,14 @@
 Sampled trajectories at fixed random-variable values become columns of a tall
 matrix; the leading right singular vectors span the empirical basis for one
 time window.
+
+The POD only needs T^T T, and an orthogonal change of the row coordinates
+leaves T^T T unchanged (Parseval). ``truncate_pod`` therefore decomposes the
+rows of T after the orthonormal real DFT along x, the fact the method of
+snapshots rests on (Sirovich, Q. Appl. Math. 45, 1987), without squaring
+anything. The solutions' energy sits in few spatial modes, so the modes that
+together hold at most ``_TAIL**2`` of the energy are dropped first. By Weyl's
+inequality this moves every singular value by at most ``_TAIL * ||T||_F``.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ __all__ = [
 ]
 
 _basis_counter = itertools.count()
+
+# relative Frobenius norm of the Fourier rows truncate_pod may drop: roundoff
+_TAIL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,36 @@ def assemble_trajectory_matrix(solutions) -> TrajectoryMatrix:
     return TrajectoryMatrix(entries=entries, grid_size=m, time_count=n_t)
 
 
+def _energetic_rows(matrix: TrajectoryMatrix) -> np.ndarray:
+    """Rows of T in orthonormal real-DFT coordinates along x, less a roundoff tail.
+
+    Mode 0 and, for an even grid, the Nyquist mode give one real row block
+    each, scaled by 1/sqrt(M); every other mode gives a real and an imaginary
+    block scaled by sqrt(2/M). The least energetic modes are dropped while
+    their summed energy stays at most ``_TAIL**2`` of the total.
+    """
+    m, n_t, k = matrix.grid_size, matrix.time_count, matrix.sample_count
+    spectrum = np.fft.rfft(matrix.entries.reshape(m, n_t, k), axis=0)
+    modes = np.arange(spectrum.shape[0])
+    paired = (modes > 0) & (2 * modes < m)
+    weights = np.where(paired, 2.0, 1.0) / m
+    flat = spectrum.reshape(modes.size, -1).view(float)
+    energy = weights * np.einsum("ij,ij->i", flat, flat)
+    total = energy.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError("degenerate input: trajectory matrix is zero, or its "
+                         "squared norm overflows")
+    by_energy = np.argsort(energy)
+    dropped = np.count_nonzero(np.cumsum(energy[by_energy]) <= _TAIL**2 * total)
+    kept = np.sort(by_energy[dropped:])
+    imaginary = kept[paired[kept]]
+    scale = np.sqrt(weights)[:, None, None]
+    rows = np.empty((kept.size + imaginary.size, n_t, k))
+    np.multiply(spectrum.real[kept], scale[kept], out=rows[:kept.size])
+    np.multiply(spectrum.imag[imaginary], scale[imaginary], out=rows[kept.size:])
+    return rows.reshape(-1, k)
+
+
 def truncate_pod(
     matrix: TrajectoryMatrix,
     threshold: float,
@@ -118,19 +159,25 @@ def truncate_pod(
 
     Keeps every direction whose scaled singular value sigma_i / sigma_1 is at
     least ``threshold`` (at least one), optionally capped.
+
+    The singular values and vectors are those of T's energetic Fourier rows
+    (see the module docstring): each sigma_i is within ``_TAIL * ||T||_F`` of
+    T's. ``singular_values`` keeps T's length, min(M * n_t, K); when fewer
+    rows than samples survive the tail, the trailing entries are 0, since the
+    true values lie below that bound. A zero T, or one whose squared norm
+    overflows, raises ValueError.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     if matrix.sample_count != len(rule):
         raise ValueError("trajectory column count must equal quadrature node count")
-    # the right singular vectors and singular values of T = QR are those of the
-    # small R (T. Chan's R-bidiagonalization), so only R is decomposed and no
-    # left vectors of the tall T are formed. The BLAS thread policy lives in
-    # the CLI (cli._one_blas_thread), not here.
-    (r,) = scipy.linalg.qr(matrix.entries, mode="r", check_finite=False)
+    # the right singular vectors and singular values of A = QR are those of R
+    # (T. Chan's R-bidiagonalization), so only R is decomposed and no left
+    # vectors are formed. The BLAS thread policy lives in the CLI
+    # (cli._one_blas_thread), not here.
+    (r,) = scipy.linalg.qr(_energetic_rows(matrix), mode="r", check_finite=False)
     _, sigma, vt = scipy.linalg.svd(r, full_matrices=False, check_finite=False)
-    if sigma[0] == 0.0:
-        raise ValueError("degenerate input: trajectory matrix is zero")
+    sigma = np.pad(sigma, (0, min(matrix.entries.shape) - sigma.size))
     n_keep = max(1, int(np.count_nonzero(sigma / sigma[0] >= threshold)))
     if cap is not None:
         n_keep = min(n_keep, max(1, cap))

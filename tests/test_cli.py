@@ -554,6 +554,22 @@ class TestBlasThreads:
             cli.run_scaling_study(config, [1.0, 2.0, 3.0])
         assert set(two_blas_threads().values()) == {2}
 
+    def test_solve_starts_without_idle_workers(self, two_blas_threads):
+        # threaded work, or a pool restarted by a count being set, leaves
+        # workers that spin for a while; the one-thread body runs without them,
+        # restoring the counts leaves none, and threaded work restarts them
+        if not all(shutdown for _, _, shutdown in cli._blas_pools().values()):
+            pytest.skip("an OpenBLAS without blas_thread_shutdown_")
+        a = np.random.default_rng(0).normal(size=(300, 300))
+        product = a @ a
+        running = len(os.listdir("/proc/self/task"))
+        with cli._one_blas_thread():
+            inside = len(os.listdir("/proc/self/task"))
+        assert inside < running
+        assert len(os.listdir("/proc/self/task")) == inside
+        np.testing.assert_allclose(a @ a, product, rtol=1e-12)
+        assert len(os.listdir("/proc/self/task")) > inside
+
     def test_manifest_records_environment(self, tmp_path):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         assert cli.main(["run", "--solver", "exact", "--grid-size", "32",
@@ -622,6 +638,18 @@ class TestCompareCommand:
         b.write_text(rows)
         assert cli.main(["compare", str(a), str(b)]) == 1
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_validation(self, tmp_path, capsys, value):
+        # a NaN deviation would print "max_abs": NaN, which is not JSON
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        cli.write_series(str(a), [0.0, 1.0, 2.0], [1.0, 0.0, 0.5])
+        b.write_text(f"t,value\n0,1\n1,{value}\n2,0.5\n")
+        report_path = tmp_path / "report.json"
+        assert cli.main(["compare", str(a), str(b), "--report", str(report_path)]) == 1
+        assert "values must be finite" in capsys.readouterr().err
+        assert not report_path.exists()
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_invalid_tolerance_exits_validation(self, tmp_path, capsys, tolerance):

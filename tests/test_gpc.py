@@ -6,7 +6,6 @@ from empchaos.gpc import (
     legendre_advection_matrix,
     mean_series,
     mean_square_series,
-    project_exact_wave,
     solve_gpc,
 )
 from empchaos.pde_core import (
@@ -14,7 +13,18 @@ from empchaos.pde_core import (
     TimeWindow,
     wave_exact_mean_square,
 )
-from empchaos.random_space import gauss_legendre_rule
+from empchaos.random_space import expectation, gauss_legendre_rule, legendre_table
+
+
+def project_exact_wave(order, t, rule=None):
+    """Mean square expectation at x = 0 of the exact wave solution projected
+    onto the first ``order`` normalized Legendre polynomials."""
+    if rule is None:
+        rule = default_rule()
+    table = legendre_table(order, rule.nodes)
+    exact = np.cos(rule.nodes * t)
+    coeffs = np.array([expectation(exact * table[:, i], rule) for i in range(order)])
+    return float(np.sum(coeffs**2))
 
 
 class TestAdvectionMatrix:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from empchaos import pod
 from empchaos.pde_core import SpatialGrid, TimeWindow, solve_ensemble
 from empchaos.pod import (
     TrajectoryMatrix,
@@ -18,6 +20,27 @@ WINDOW = TimeWindow(0.0, 1.0)
 
 def small_rule(count):
     return trapezoid_rule(chebyshev_nodes(count))
+
+
+def sampled_matrix(problem, grid_size, rule):
+    grid = SpatialGrid(grid_size)
+    window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
+    states = solve_ensemble(problem, rule.nodes, problem.initial_condition(grid.points),
+                            window, grid)
+    return assemble_trajectory_matrix(states.transpose(1, 0, 2)), window
+
+
+def assert_matches_direct_svd(matrix, threshold, rule, window=WINDOW):
+    """truncate_pod against an SVD of the whole trajectory matrix."""
+    basis = truncate_pod(matrix, threshold, rule, window)
+    _, sigma, vt = scipy.linalg.svd(matrix.entries, full_matrices=False)
+    assert basis.singular_values.shape == sigma.shape
+    np.testing.assert_allclose(basis.singular_values, sigma, rtol=0, atol=1e-12 * sigma[0])
+    assert basis.size == max(1, np.count_nonzero(sigma / sigma[0] >= threshold))
+    expected = vt[:basis.size].T
+    np.testing.assert_allclose(basis.values @ basis.values.T, expected @ expected.T,
+                               rtol=0, atol=1e-10)
+    return basis, sigma
 
 
 class TestAssembleTrajectoryMatrix:
@@ -84,6 +107,13 @@ class TestTruncatePod:
         with pytest.raises(ValueError):
             truncate_pod(matrix, 1e-4, rule, WINDOW)
 
+    def test_rejects_overflowing_squares(self):
+        # finite entries whose squared norm overflows cannot be ranked by energy
+        rule = small_rule(3)
+        matrix = TrajectoryMatrix(entries=np.full((6, 3), 1e160), grid_size=3, time_count=2)
+        with pytest.raises(ValueError, match="overflows"):
+            truncate_pod(matrix, 1e-4, rule, WINDOW)
+
     def test_rejects_bad_threshold(self):
         rule = small_rule(3)
         matrix = TrajectoryMatrix(entries=np.ones((6, 3)), grid_size=3, time_count=2)
@@ -98,11 +128,7 @@ class TestTruncatePod:
     def test_wave_first_window_spectrum(self, wave, rule_120):
         # singular values decay steeply: few functions capture the window,
         # comfortably at most 9 at the 1e-4 threshold
-        grid = SpatialGrid(128)
-        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
-        u0 = np.cos(grid.points)
-        states = solve_ensemble(wave, rule_120.nodes, u0, window, grid)
-        matrix = assemble_trajectory_matrix(states.transpose(1, 0, 2))
+        matrix, window = sampled_matrix(wave, 128, rule_120)
         basis = truncate_pod(matrix, 1e-4, rule_120, window)
         assert 1 <= basis.size <= 9
         scaled = basis.singular_values / basis.singular_values[0]
@@ -119,6 +145,51 @@ class TestTruncatePod:
                              1e-4, rule_120, window)
         gram = basis.values.T @ basis.values
         np.testing.assert_allclose(gram, np.eye(basis.size), atol=1e-10)
+
+
+class TestFourierRows:
+    """truncate_pod decomposes T's energetic Fourier rows; T^T T is unchanged."""
+
+    def test_wave_window_grid_128(self, wave, rule_120):
+        matrix, window = sampled_matrix(wave, 128, rule_120)
+        assert_matches_direct_svd(matrix, 1e-4, rule_120, window)
+
+    def test_advection_reaction_window_grid_256(self, advection_reaction, rule_300):
+        matrix, window = sampled_matrix(advection_reaction, 256, rule_300)
+        assert_matches_direct_svd(matrix, 1e-4, rule_300, window)
+
+    @pytest.mark.parametrize("grid_size", [32, 33], ids=["nyquist", "odd-no-nyquist"])
+    def test_every_mode_energetic(self, grid_size):
+        # random rows put energy in every mode, the Nyquist mode of an even grid too
+        rule = small_rule(9)
+        entries = np.random.default_rng(grid_size).normal(size=(grid_size * 3, 9))
+        matrix = TrajectoryMatrix(entries=entries, grid_size=grid_size, time_count=3)
+        assert_matches_direct_svd(matrix, 1e-4, rule)
+
+    def test_roundoff_mode_dropped_small_mode_kept(self):
+        # three spatial modes with relative energies 1, 1e-20 and 1e-30, each
+        # carried by its own sample direction
+        m, n_t, k = 16, 2, 12
+        x = 2 * np.pi * np.arange(m) / m
+        samples = np.linalg.qr(np.random.default_rng(7).normal(size=(k, 3)))[0]
+        spatial = [np.cos(x), 1e-10 * np.cos(3 * x), 1e-15 * np.sin(5 * x)]
+        times = np.array([1.0, 0.5])
+        entries = sum(np.outer(np.outer(f, times).ravel(), samples[:, i])
+                      for i, f in enumerate(spatial))
+        matrix = TrajectoryMatrix(entries=entries, grid_size=m, time_count=n_t)
+        basis, sigma = assert_matches_direct_svd(matrix, 1e-4, small_rule(k))
+        # the 1e-20 mode survives the tail: its singular value matches above, and
+        # its sample direction enters a basis at a low threshold (to ~1e-16 / 1e-10,
+        # the conditioning of a direction that weak)
+        assert basis.singular_values[1] == pytest.approx(sigma[1], rel=1e-6)
+        fine = truncate_pod(matrix, 1e-12, small_rule(k), WINDOW)
+        assert fine.size == 2
+        assert abs(fine.values[:, 1] @ samples[:, 1]) == pytest.approx(1.0, abs=1e-5)
+        # the 1e-30 mode is dropped: Weyl's bound, and a zero-padded tail past
+        # the 2 * n_t rows of each of the two kept modes
+        bound = pod._TAIL * np.linalg.norm(entries)
+        assert np.max(np.abs(basis.singular_values - sigma)) <= bound
+        assert np.all(basis.singular_values[2 * 2 * n_t:] == 0.0)
 
 
 random_entries = hnp.arrays(
