@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .pde_core import SpatialGrid, TimeWindow, spatial_derivative
+from .pde_core import SpatialGrid, spatial_derivative
 from .pod import BasisSet
 
 __all__ = [
@@ -112,8 +112,7 @@ def evolve_basis(basis: BasisSet, pair: SpatialGalerkinPair, dt: float) -> Basis
     scales = basis.rule.nodes * dt
     for a, b in block_decompose(pair):
         values[:, a:b] = _evolve_block(pair, a, b, scales, values[:, a:b])
-    window = TimeWindow(basis.window.start + dt, basis.window.end + dt)
-    return BasisSet(values=values, rule=basis.rule, window=window)
+    return BasisSet(values=values, rule=basis.rule)
 
 
 def _evolve_block(pair: SpatialGalerkinPair, a: int, b: int, scales: np.ndarray,

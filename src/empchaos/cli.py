@@ -400,14 +400,14 @@ def _solve(config: ExperimentConfig, emp_config: driver.EmpiricalConfig,
 
     if config.solver == "gpc":
         tic = time.perf_counter()
-        system = gpc.solve_gpc(problem, config.order, grid, window, config.step,
-                               emp_config.rule)
+        coefficients = gpc.solve_gpc(problem, config.order, grid, window, config.step,
+                                     emp_config.rule)
         propagation = time.perf_counter() - tic
         tic = time.perf_counter()
         write_series(os.path.join(out, "mean_square.csv"), times,
-                      gpc.mean_square_series(system, config.x_index))
+                      gpc.mean_square_series(coefficients, config.x_index))
         write_series(os.path.join(out, "mean.csv"), times,
-                      gpc.mean_series(system, config.x_index))
+                      gpc.mean_series(coefficients, config.x_index))
         export = time.perf_counter() - tic
         return (["mean_square.csv", "mean.csv"],
                 {"propagation": propagation, "export": export}, {})

@@ -5,9 +5,11 @@ chooses its stochastic basis (resampled and truncated by POD, advanced by the
 matrix-exponential basis evolution, or held) and propagates. At every seam
 with a new basis, window 0 included, the solution at the quadrature nodes is
 projected onto that basis in the probability measure; one projection serves
-every seam. Sampling and propagation get the one base step
-(``step`` or ``pde_core.default_step``); the solvers fit it to each window's
-output times. Per-stage wall-clock timings are recorded.
+every seam. The state carried from window to window is the plain
+(basis count, grid size) coefficient array of the last output. Sampling and
+propagation get the one base step (``step`` or ``pde_core.default_step``);
+the solvers fit it to each window's output times. Per-stage wall-clock
+timings are recorded.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "RESAMPLE",
     "EVOLVE",
     "HOLD",
+    "EVOLVE_SUBSTEP",
     "StageTimings",
     "EmpiricalConfig",
     "always_resample",
@@ -45,6 +48,8 @@ __all__ = [
 RESAMPLE = "resample"
 EVOLVE = "evolve"
 HOLD = "hold"
+# longest sub-window of an evolve window; each sub-window evolves the basis once
+EVOLVE_SUBSTEP = 0.1
 
 
 @dataclass
@@ -92,7 +97,6 @@ class EmpiricalConfig:
     basis_cap: int | None = None
     step: float | None = None
     outputs_per_window: int = 11
-    evolve_substep: float = 0.1
     schedule: Callable[[int], str] = field(default=always_resample)
 
     def __post_init__(self):
@@ -117,7 +121,7 @@ def window_plan(config: EmpiricalConfig) -> list[tuple[str, TimeWindow]]:
     """The (action, window) pairs that ``run_schedule`` solves, in order.
 
     Window 0 always resamples. An evolve window is split into sub-windows of
-    at most ``evolve_substep``, each with its two endpoints as outputs. An
+    at most ``EVOLVE_SUBSTEP``, each with its two endpoints as outputs. An
     unknown action, or evolve on the reaction problem, is rejected here,
     before anything is solved.
     """
@@ -134,7 +138,7 @@ def window_plan(config: EmpiricalConfig) -> list[tuple[str, TimeWindow]]:
         if config.problem.has_reaction:
             raise ValueError("basis evolution is only implemented for the wave operator")
         plan += [(EVOLVE, TimeWindow.with_uniform_outputs(a, b, 2))
-                 for a, b in _pieces(start, end, config.evolve_substep)]
+                 for a, b in _pieces(start, end, EVOLVE_SUBSTEP)]
     return plan
 
 
@@ -154,13 +158,13 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     step = config.step if config.step is not None else default_step(grid)
 
     u0 = np.asarray(problem.initial_condition(grid.points), dtype=float)
-    basis = matrices = current_field = None
+    basis = matrices = coefficients = None
     for action, window in window_plan(config):
         if action != HOLD:
             # the solution at the nodes: the shared initial state on window 0
             tic = time.perf_counter()
             u_nodes = (np.broadcast_to(u0, (len(rule), grid.point_count)) if basis is None
-                       else basis.reconstruct(current_field.coefficients))
+                       else basis.reconstruct(coefficients))
             timings.add("change_of_basis", time.perf_counter() - tic)
         if action == RESAMPLE:
             tic = time.perf_counter()
@@ -169,12 +173,11 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
 
             tic = time.perf_counter()
             t_matrix = assemble_trajectory_matrix(trajectories.transpose(1, 0, 2))
-            new_basis = truncate_pod(t_matrix, config.threshold, rule, window,
-                                     cap=config.basis_cap)
+            new_basis = truncate_pod(t_matrix, config.threshold, rule, cap=config.basis_cap)
             timings.add("svd", time.perf_counter() - tic)
         elif action == EVOLVE:
             tic = time.perf_counter()
-            pair = basis_evolution.spatial_pair(current_field.coefficients, grid)
+            pair = basis_evolution.spatial_pair(coefficients, grid)
             new_basis = basis_evolution.evolve_basis(basis, pair, window.length)
             timings.add("basis_evolution", time.perf_counter() - tic)
 
@@ -184,16 +187,15 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             timings.add("assembly", time.perf_counter() - tic)
 
             tic = time.perf_counter()
-            current_field = project_node_values(u_nodes, new_basis, matrices)
+            coefficients = project_node_values(u_nodes, new_basis, matrices)
             timings.add("change_of_basis", time.perf_counter() - tic)
             basis = new_basis
 
         tic = time.perf_counter()
-        trajectory = propagate_window(problem, current_field, basis, window, grid,
-                                      step, matrices)
+        states = propagate_window(problem, coefficients, basis, window, grid, step, matrices)
         timings.add("propagation", time.perf_counter() - tic)
         archive.append(WindowRecord(window=window, basis=basis,
-                                    trajectory=trajectory, matrices=matrices))
-        current_field = trajectory.final
+                                    coefficients=states, matrices=matrices))
+        coefficients = states[-1]
 
     return archive, timings

@@ -4,7 +4,9 @@ Assembles mass/advection matrices by quadrature, projects solution values at
 the quadrature nodes onto a basis (the one projection used at every window
 seam, window 0 included), propagates the implicit coefficient ODE with RK4
 (in Fourier space for the wave problem), and evaluates solution statistics
-from the archive of solved windows.
+from the archive of solved windows. Coefficients are plain arrays: one
+window's state is c[i, x] = u_hat^i(x), shape (basis count, grid size), and
+a propagated window is the (output time, basis count, grid size) array.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .pod import BasisSet
 __all__ = [
     "IllConditionedBasis",
     "GalerkinMatrices",
-    "CoefficientField",
-    "CoefficientTrajectory",
     "WindowRecord",
     "ExpansionArchive",
     "assemble_matrices",
@@ -91,28 +91,12 @@ def assemble_matrices(basis: BasisSet) -> GalerkinMatrices:
     )
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Galerkin coefficients for one basis: coefficients[i, x] = u_hat^i(x)."""
-
-    coefficients: np.ndarray
-    basis_id: str
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        if coeffs.ndim != 2:
-            raise ValueError("coefficients must be (basis count, grid size)")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients contain non-finite entries")
-
-
 def project_node_values(values: np.ndarray, basis: BasisSet,
-                        matrices: GalerkinMatrices | None = None) -> CoefficientField:
+                        matrices: GalerkinMatrices | None = None) -> np.ndarray:
     """Project per-node solution values u(xi_l, x), shape (K, M), onto the basis.
 
     The projection in the probability measure: solve mass * c = E[u * Psi_j].
+    Returns the (basis count, M) coefficients.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != len(basis.rule):
@@ -120,26 +104,15 @@ def project_node_values(values: np.ndarray, basis: BasisSet,
     if matrices is None:
         matrices = assemble_matrices(basis)
     rhs = basis.values.T @ (basis.rule.weights[:, None] * values)
-    return CoefficientField(coefficients=matrices.solve(rhs), basis_id=basis.label)
+    return matrices.solve(rhs)
 
 
-@dataclass(frozen=True)
-class CoefficientTrajectory:
-    """Coefficient snapshots at the output times of one window."""
-
-    times: tuple
-    coefficients: np.ndarray  # (n_times, N_b, M)
-    basis_id: str
-
-    @property
-    def final(self) -> CoefficientField:
-        return CoefficientField(coefficients=self.coefficients[-1], basis_id=self.basis_id)
-
-
-def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisSet,
+def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: BasisSet,
                      window: TimeWindow, grid: SpatialGrid, step: float,
-                     matrices: GalerkinMatrices | None = None) -> CoefficientTrajectory:
-    """RK4 on the mass-solved Galerkin system over one window.
+                     matrices: GalerkinMatrices | None = None) -> np.ndarray:
+    """RK4 on the mass-solved Galerkin system over one window, from the
+    (basis count, M) ``coefficients``; returns the (output time, basis count,
+    M) coefficients at ``window.output_times``.
 
     For the wave problem the operator mass^-1 * advection is diagonalized by
     the generalized eigenproblem advection * V = mass * V * diag(lam), which
@@ -147,8 +120,11 @@ def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisS
     positive definite; V^T * mass * V = I gives V^-1 = V^T * mass, and
     ``integrate_advection`` applies the RK4 steps in Fourier space.
     """
-    if field.basis_id != basis.label:
-        raise ValueError("coefficient field is not expressed in the given basis")
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != (basis.size, grid.point_count):
+        raise ValueError("coefficients must be (basis count, grid size)")
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("coefficients contain non-finite entries")
     if matrices is None:
         matrices = assemble_matrices(basis)
 
@@ -163,13 +139,10 @@ def propagate_window(problem: PdeProblem, field: CoefficientField, basis: BasisS
             np.matmul(solved_advection, spatial_derivative(coeffs, grid), out=out)
             out += solved_projector @ problem.reaction(v @ coeffs)
 
-        states = integrate_ode(rhs, field.coefficients, window, step)
-    else:
-        lam, vecs = scipy.linalg.eigh(matrices.advection, matrices.mass)
-        states = integrate_advection(lam, field.coefficients, window, grid, step,
-                                     (vecs, vecs.T @ matrices.mass))
-    return CoefficientTrajectory(times=window.output_times, coefficients=states,
-                                 basis_id=basis.label)
+        return integrate_ode(rhs, coefficients, window, step)
+    lam, vecs = scipy.linalg.eigh(matrices.advection, matrices.mass)
+    return integrate_advection(lam, coefficients, window, grid, step,
+                               (vecs, vecs.T @ matrices.mass))
 
 
 @dataclass
@@ -178,7 +151,7 @@ class WindowRecord:
 
     window: TimeWindow
     basis: BasisSet
-    trajectory: CoefficientTrajectory
+    coefficients: np.ndarray  # (n_output_times, basis count, M)
     matrices: GalerkinMatrices
 
 
@@ -210,7 +183,7 @@ class ExpansionArchive:
         for record in self.records:
             mass = record.matrices.mass
             g = record.basis.values.T @ record.basis.rule.weights
-            for t, coeffs in zip(record.trajectory.times, record.trajectory.coefficients):
+            for t, coeffs in zip(record.window.output_times, record.coefficients):
                 if times and t <= times[-1] + 1e-12:
                     continue
                 u_hat = coeffs[:, x_index]

@@ -1,13 +1,14 @@
 """Generalized polynomial chaos reference solver with normalized Legendre bases.
 
 This path assumes exact orthonormality (mass = identity) and serves as the
-benchmark the empirical expansion is compared against.
+benchmark the empirical expansion is compared against. A solve returns the
+(output time, order, grid size) array of Legendre coefficients, from which
+the statistics are read directly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .random_space import (
 __all__ = [
     "DEFAULT_NODE_COUNT",
     "ORDER_CAP",
-    "GpcSystem",
     "default_rule",
     "legendre_advection_matrix",
     "solve_gpc",
@@ -65,17 +65,6 @@ def legendre_advection_matrix(order: int) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-@dataclass(frozen=True)
-class GpcSystem:
-    """Truncated gPC system: coefficient trajectory plus its coupling matrix."""
-
-    order: int
-    advection: np.ndarray
-    rule: QuadratureRule
-    times: tuple
-    coefficients: np.ndarray  # (n_times, order, M)
-
-
 def solve_gpc(
     problem: PdeProblem,
     order: int,
@@ -83,11 +72,13 @@ def solve_gpc(
     window: TimeWindow,
     step: float | None = None,
     rule: QuadratureRule | None = None,
-) -> GpcSystem:
+) -> np.ndarray:
     """RK4 on the truncated gPC system with a deterministic initial condition.
 
     The nonlinear reaction term is projected by quadrature at every rhs call.
     The step defaults to ``default_step`` and is fitted to the output times.
+    Returns the (n_output_times, order, M) coefficients at
+    ``window.output_times``.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -113,17 +104,16 @@ def solve_gpc(
     initial[0] = problem.initial_condition(grid.points)
     if step is None:
         step = default_step(grid)
-    states = integrate_ode(rhs, initial, window, step)
-    return GpcSystem(order=order, advection=advection, rule=rule,
-                     times=window.output_times, coefficients=states)
+    return integrate_ode(rhs, initial, window, step)
 
 
-def mean_square_series(system: GpcSystem, x_index: int = 0) -> np.ndarray:
-    """E[u^2] over time at one grid point: sum of squared coefficients."""
-    return np.sum(system.coefficients[:, :, x_index] ** 2, axis=1)
+def mean_square_series(coefficients: np.ndarray, x_index: int = 0) -> np.ndarray:
+    """E[u^2] over time at one grid point: sum of squared coefficients of the
+    (n_times, order, M) ``solve_gpc`` result."""
+    return np.sum(coefficients[:, :, x_index] ** 2, axis=1)
 
 
-def mean_series(system: GpcSystem, x_index: int = 0) -> np.ndarray:
+def mean_series(coefficients: np.ndarray, x_index: int = 0) -> np.ndarray:
     """E[u] over time at one grid point: the constant-mode coefficient."""
-    return system.coefficients[:, 0, x_index]
+    return coefficients[:, 0, x_index]
 

@@ -44,11 +44,7 @@ class AllSamplesDiverged(IntegrationDiverged):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo run parameters.
-
-    ``xi_values`` overrides random sampling with explicit sample values
-    (useful for forcing a degenerate ensemble in tests).
-    """
+    """Monte Carlo run parameters."""
 
     problem: PdeProblem
     grid: SpatialGrid
@@ -57,7 +53,6 @@ class McConfig:
     seed: int = 0
     step: float | None = None
     chunk_size: int = 5_000
-    xi_values: np.ndarray | None = None
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -92,11 +87,6 @@ class McResult:
 
 
 def _draw_samples(config: McConfig) -> np.ndarray:
-    if config.xi_values is not None:
-        xi = np.asarray(config.xi_values, dtype=float)
-        if xi.size != config.sample_count:
-            raise ValueError("xi_values length must equal sample_count")
-        return xi
     # counter-based generator: sample l is reproducible independent of chunking
     rng = np.random.Generator(np.random.Philox(config.seed))
     return rng.uniform(-1.0, 1.0, config.sample_count)

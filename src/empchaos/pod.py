@@ -15,13 +15,11 @@ inequality this moves every singular value by at most ``_TAIL * ||T||_F``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .pde_core import TimeWindow
 from .random_space import QuadratureRule
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "truncate_pod",
     "projection_residual",
 ]
-
-_basis_counter = itertools.count()
 
 # relative Frobenius norm of the Fourier rows truncate_pod may drop: roundoff
 _TAIL = 1e-13
@@ -77,9 +73,7 @@ class BasisSet:
 
     values: np.ndarray
     rule: QuadratureRule
-    window: TimeWindow
     singular_values: np.ndarray = field(default_factory=lambda: np.array([]))
-    label: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -92,8 +86,6 @@ class BasisSet:
             raise ValueError("values must be (node count, basis count)")
         if values.shape[1] < 1:
             raise ValueError("need at least one basis function")
-        if not self.label:
-            object.__setattr__(self, "label", f"basis-{next(_basis_counter)}")
 
     @property
     def size(self) -> int:
@@ -152,7 +144,6 @@ def truncate_pod(
     matrix: TrajectoryMatrix,
     threshold: float,
     rule: QuadratureRule,
-    window: TimeWindow,
     cap: int | None = None,
 ) -> BasisSet:
     """Extract the leading right singular vectors as an empirical basis.
@@ -181,12 +172,7 @@ def truncate_pod(
     n_keep = max(1, int(np.count_nonzero(sigma / sigma[0] >= threshold)))
     if cap is not None:
         n_keep = min(n_keep, max(1, cap))
-    return BasisSet(
-        values=vt[:n_keep].T.copy(),
-        rule=rule,
-        window=window,
-        singular_values=sigma,
-    )
+    return BasisSet(values=vt[:n_keep].T.copy(), rule=rule, singular_values=sigma)
 
 
 def projection_residual(matrix: TrajectoryMatrix, basis: BasisSet) -> float:

@@ -24,7 +24,7 @@ def sampled_basis(problem, rule, grid, window, threshold=1e-4):
     u0 = problem.initial_condition(grid.points)
     states = solve_ensemble(problem, rule.nodes, u0, window, grid)
     matrix = assemble_trajectory_matrix(states.transpose(1, 0, 2))
-    return truncate_pod(matrix, threshold, rule, window)
+    return truncate_pod(matrix, threshold, rule)
 
 
 class TestSpatialPair:
@@ -105,8 +105,7 @@ class TestEvolveBasis:
         # gram g*I and advect [[0, a], [-a, 0]] rotate each node's coefficients
         # by xi * dt * a / g
         g, a, dt = 2.0, 0.7, 0.3
-        basis = BasisSet(values=np.tile([1.0, 2.0], (120, 1)), rule=rule_120,
-                         window=TimeWindow(0.0, 1.0))
+        basis = BasisSet(values=np.tile([1.0, 2.0], (120, 1)), rule=rule_120)
         pair = SpatialGalerkinPair(gram=g * np.eye(2),
                                    advect=np.array([[0.0, a], [-a, 0.0]]))
         evolved = evolve_basis(basis, pair, dt)
@@ -142,20 +141,11 @@ class TestEvolveBasis:
                                    atol=1e-13 * scale)
 
     def test_indefinite_gram_raises(self, rule_120):
-        basis = BasisSet(values=np.ones((120, 2)), rule=rule_120,
-                         window=TimeWindow(0.0, 1.0))
+        basis = BasisSet(values=np.ones((120, 2)), rule=rule_120)
         pair = SpatialGalerkinPair(gram=np.diag([1.0, -1.0]),
                                    advect=np.array([[0.0, 1.0], [-1.0, 0.0]]))
         with pytest.raises(SingularBlock, match="not positive definite"):
             evolve_basis(basis, pair, 0.1)
-
-    def test_window_shifts_by_dt(self, rule_120):
-        basis = BasisSet(values=np.ones((120, 1)), rule=rule_120,
-                         window=TimeWindow(0.0, 1.0))
-        pair = SpatialGalerkinPair(gram=np.array([[1.0]]), advect=np.array([[0.0]]))
-        evolved = evolve_basis(basis, pair, 0.5)
-        assert evolved.window.start == pytest.approx(0.5)
-        assert evolved.window.end == pytest.approx(1.5)
 
     def test_semigroup_property(self, wave, rule_120):
         # exp(xi G t1) exp(xi G t2) = exp(xi G (t1 + t2)) for a frozen pair
@@ -169,15 +159,13 @@ class TestEvolveBasis:
         np.testing.assert_allclose(two_steps.values, one_step.values, atol=1e-8)
 
     def test_rejects_negative_dt(self, rule_120):
-        basis = BasisSet(values=np.ones((120, 1)), rule=rule_120,
-                         window=TimeWindow(0.0, 1.0))
+        basis = BasisSet(values=np.ones((120, 1)), rule=rule_120)
         pair = SpatialGalerkinPair(gram=np.array([[1.0]]), advect=np.array([[0.0]]))
         with pytest.raises(ValueError):
             evolve_basis(basis, pair, -0.1)
 
     def test_rejects_size_mismatch(self, rule_120):
-        basis = BasisSet(values=np.ones((120, 1)), rule=rule_120,
-                         window=TimeWindow(0.0, 1.0))
+        basis = BasisSet(values=np.ones((120, 1)), rule=rule_120)
         pair = SpatialGalerkinPair(gram=np.eye(2), advect=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             evolve_basis(basis, pair, 0.1)
@@ -192,7 +180,7 @@ class TestEvolveBasis:
         from empchaos.galerkin import assemble_matrices, project_node_values
         matrices = assemble_matrices(basis)
         field = project_node_values(u_final, basis, matrices)
-        pair = spatial_pair(field.coefficients, grid)
+        pair = spatial_pair(field, grid)
 
         def principal_gap(dt):
             evolved = evolve_basis(basis, pair, dt)
@@ -202,7 +190,7 @@ class TestEvolveBasis:
                                     step=1e-3)
             fresh = truncate_pod(
                 assemble_trajectory_matrix(states.transpose(1, 0, 2)),
-                1e-4, rule_120, shifted)
+                1e-4, rule_120)
             q_f = np.linalg.qr(fresh.values)[0]
             cosines = np.linalg.svd(q_e.T @ q_f, compute_uv=False)
             return float(np.arccos(np.clip(cosines.min(), -1.0, 1.0)))

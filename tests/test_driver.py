@@ -83,12 +83,12 @@ class TestWindowPlan:
                                                            rule_120):
         config = EmpiricalConfig(problem=wave, grid=small_grid, rule=rule_120,
                                  window_length=1.0, t_final=2.5,
-                                 evolve_substep=0.25,
                                  schedule=alternating_schedule)
         plan = window_plan(config)
-        assert [action for action, _ in plan] == [RESAMPLE] + [EVOLVE] * 4 + [RESAMPLE]
+        # driver.EVOLVE_SUBSTEP = 0.1 splits the evolve window in ten
+        assert [action for action, _ in plan] == [RESAMPLE] + [EVOLVE] * 10 + [RESAMPLE]
         assert len(plan[0][1].output_times) == 11
-        assert all(len(window.output_times) == 2 for _, window in plan[1:5])
+        assert all(len(window.output_times) == 2 for _, window in plan[1:11])
         assert plan[-1][1].start == pytest.approx(2.0)
         assert plan[-1][1].end == pytest.approx(2.5)
         for (_, prev), (_, nxt) in zip(plan, plan[1:]):
@@ -160,11 +160,10 @@ class TestRunSchedule:
         grid = SpatialGrid(64)
         config = EmpiricalConfig(problem=wave, grid=grid, rule=rule_120,
                                  window_length=1.0, t_final=2.0,
-                                 evolve_substep=0.25,
                                  schedule=alternating_schedule)
         archive, timings = run_schedule(config)
-        # one full resample window plus four evolve sub-windows
-        assert len(archive.records) == 5
+        # one full resample window plus ten evolve sub-windows of EVOLVE_SUBSTEP
+        assert len(archive.records) == 11
         assert timings.basis_evolution > 0.0
         assert archive.records[-1].window.end == pytest.approx(2.0)
 
@@ -186,8 +185,8 @@ class TestRunSchedule:
             v_old, v_new = old.basis.values, new.basis.values
             expected = np.linalg.solve(v_new.T @ (weighted * v_new),
                                        v_new.T @ (weighted * v_old)
-                                       @ old.trajectory.coefficients[-1])
-            np.testing.assert_allclose(new.trajectory.coefficients[0], expected,
+                                       @ old.coefficients[-1])
+            np.testing.assert_allclose(new.coefficients[0], expected,
                                        rtol=0.0, atol=1e-12)
 
     def test_evolve_rejected_for_reaction(self, advection_reaction, rule_300):

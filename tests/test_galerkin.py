@@ -3,7 +3,6 @@ import pytest
 
 from empchaos import gpc
 from empchaos.galerkin import (
-    CoefficientField,
     ExpansionArchive,
     IllConditionedBasis,
     WindowRecord,
@@ -26,16 +25,13 @@ from empchaos.random_space import (
     trapezoid_rule,
 )
 
-WINDOW = TimeWindow(0.0, 1.0)
-
 
 def constant_basis(rule):
-    return BasisSet(values=np.ones((len(rule), 1)), rule=rule, window=WINDOW)
+    return BasisSet(values=np.ones((len(rule), 1)), rule=rule)
 
 
 def legendre_basis(n_terms, rule):
-    return BasisSet(values=legendre_table(n_terms, rule.nodes), rule=rule,
-                    window=WINDOW)
+    return BasisSet(values=legendre_table(n_terms, rule.nodes), rule=rule)
 
 
 def initial_field(problem, basis, grid, matrices=None):
@@ -49,7 +45,7 @@ def pod_basis(problem, rule, grid, window, threshold=1e-4):
     u0 = problem.initial_condition(grid.points)
     states = solve_ensemble(problem, rule.nodes, u0, window, grid)
     matrix = assemble_trajectory_matrix(states.transpose(1, 0, 2))
-    return truncate_pod(matrix, threshold, rule, window)
+    return truncate_pod(matrix, threshold, rule)
 
 
 class TestAssembleMatrices:
@@ -77,7 +73,7 @@ class TestAssembleMatrices:
         # two nearly identical basis functions make the mass nearly singular
         values = np.column_stack([np.ones(len(rule_300)),
                                   np.ones(len(rule_300)) + 1e-15 * rule_300.nodes])
-        basis = BasisSet(values=values, rule=rule_300, window=WINDOW)
+        basis = BasisSet(values=values, rule=rule_300)
         with pytest.raises(IllConditionedBasis):
             assemble_matrices(basis)
 
@@ -90,7 +86,7 @@ class TestAssembleMatrices:
 
 def project_column(values, basis):
     """Coefficients of one function of xi, given as a single grid column."""
-    return project_node_values(values[:, None], basis).coefficients[:, 0]
+    return project_node_values(values[:, None], basis)[:, 0]
 
 
 class TestProjectFunction:
@@ -126,15 +122,14 @@ class TestProjectInitialCondition:
         grid = SpatialGrid(32)
         basis = legendre_basis(5, rule)
         field = initial_field(wave, basis, grid)
-        np.testing.assert_allclose(field.coefficients[0], np.cos(grid.points),
-                                   atol=1e-12)
-        np.testing.assert_allclose(field.coefficients[1:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(field[0], np.cos(grid.points), atol=1e-12)
+        np.testing.assert_allclose(field[1:], 0.0, atol=1e-12)
 
     def test_constant_containing_basis_reproduces_ic(self, wave, rule_120):
         grid = SpatialGrid(32)
         basis = constant_basis(rule_120)
         field = initial_field(wave, basis, grid)
-        reconstructed = basis.reconstruct(field.coefficients)
+        reconstructed = basis.reconstruct(field)
         np.testing.assert_allclose(reconstructed,
                                    np.broadcast_to(np.cos(grid.points), (120, 32)),
                                    atol=1e-12)
@@ -148,27 +143,25 @@ class TestChangeBasis:
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
         basis = pod_basis(wave, rule_120, grid, window)
         field = initial_field(wave, basis, grid)
-        moved = project_node_values(basis.reconstruct(field.coefficients), basis)
-        np.testing.assert_allclose(moved.coefficients, field.coefficients, atol=1e-12)
+        moved = project_node_values(basis.reconstruct(field), basis)
+        np.testing.assert_allclose(moved, field, atol=1e-12)
 
     def test_permuted_basis_permutes_coefficients(self, wave, rule_120):
         grid = SpatialGrid(32)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
         basis = pod_basis(wave, rule_120, grid, window)
         perm = np.arange(basis.size)[::-1]
-        permuted = BasisSet(values=basis.values[:, perm], rule=basis.rule,
-                            window=basis.window)
+        permuted = BasisSet(values=basis.values[:, perm], rule=basis.rule)
         field = initial_field(wave, basis, grid)
-        moved = project_node_values(basis.reconstruct(field.coefficients), permuted)
-        np.testing.assert_allclose(moved.coefficients, field.coefficients[perm],
-                                   atol=1e-10)
+        moved = project_node_values(basis.reconstruct(field), permuted)
+        np.testing.assert_allclose(moved, field[perm], atol=1e-10)
 
     def test_superspace_preserves_reconstruction(self, rule_300):
         small = legendre_basis(3, rule_300)
         large = legendre_basis(6, rule_300)
         coeffs = np.array([[1.0, 0.5], [-2.0, 1.0], [0.25, 0.0]])
         moved = project_node_values(small.reconstruct(coeffs), large)
-        np.testing.assert_allclose(large.reconstruct(moved.coefficients),
+        np.testing.assert_allclose(large.reconstruct(moved),
                                    small.reconstruct(coeffs), atol=1e-8)
 
 
@@ -177,14 +170,13 @@ class TestGalerkinRhs:
         grid = SpatialGrid(32)
         basis = constant_basis(rule_300)
         matrices = assemble_matrices(basis)
-        field = CoefficientField(coefficients=np.full((1, 32), 4.0),
-                                 basis_id=basis.label)
+        field = np.full((1, 32), 4.0)
         window = TimeWindow.with_uniform_outputs(0.0, 0.5, 3)
-        trajectory = propagate_window(advection_reaction, field, basis, window,
-                                      grid, 1e-2, matrices)
+        states = propagate_window(advection_reaction, field, basis, window,
+                                  grid, 1e-2, matrices)
         # u constant in x: the advection term vanishes and u' = 0.1*sqrt(u)
         # from u = 4 gives u(t) = (2 + 0.05 t)^2
-        for t, coeffs in zip(trajectory.times, trajectory.coefficients):
+        for t, coeffs in zip(window.output_times, states):
             np.testing.assert_allclose(coeffs, (2.0 + 0.05 * t) ** 2, atol=1e-12)
 
     def test_matches_gpc_rhs_on_legendre_basis(self):
@@ -201,13 +193,10 @@ class TestPropagateWindow:
         grid = SpatialGrid(32)
         basis = constant_basis(rule_300)
         matrices = assemble_matrices(basis)
-        field = CoefficientField(coefficients=np.cos(grid.points)[None, :],
-                                 basis_id=basis.label)
+        field = np.cos(grid.points)[None, :]
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 5)
-        trajectory = propagate_window(wave, field, basis, window, grid, 1e-2,
-                                      matrices)
-        np.testing.assert_allclose(trajectory.coefficients[-1],
-                                   field.coefficients, atol=1e-12)
+        states = propagate_window(wave, field, basis, window, grid, 1e-2, matrices)
+        np.testing.assert_allclose(states[-1], field, atol=1e-12)
 
     def test_full_span_matches_per_node_solves(self, wave):
         rule = trapezoid_rule(chebyshev_nodes(24))
@@ -216,9 +205,8 @@ class TestPropagateWindow:
         basis = pod_basis(wave, rule, grid, window, threshold=1e-13)
         matrices = assemble_matrices(basis)
         field = initial_field(wave, basis, grid)
-        trajectory = propagate_window(wave, field, basis, window, grid, 1e-2,
-                                      matrices)
-        reconstructed = basis.reconstruct(trajectory.coefficients[-1])
+        states = propagate_window(wave, field, basis, window, grid, 1e-2, matrices)
+        reconstructed = basis.reconstruct(states[-1])
         # the ensemble solve is the per-node solves, sample for sample
         direct = solve_ensemble(wave, rule.nodes, np.cos(grid.points), window, grid,
                                 step=1e-2)
@@ -230,11 +218,28 @@ class TestPropagateWindow:
         basis = pod_basis(wave, rule_120, grid, window)
         matrices = assemble_matrices(basis)
         field = initial_field(wave, basis, grid)
-        trajectory = propagate_window(wave, field, basis, window, grid, 1e-2,
-                                      matrices)
-        u_hat = trajectory.coefficients[-1][:, 0]
+        states = propagate_window(wave, field, basis, window, grid, 1e-2, matrices)
+        u_hat = states[-1][:, 0]
         mse = float(u_hat @ matrices.mass @ u_hat)
         assert mse == pytest.approx(wave_exact_mean_square(1.0), abs=1e-2)
+
+    @pytest.mark.parametrize("problem_name", ["wave", "advection_reaction"])
+    @pytest.mark.parametrize("shape, bad, match", [
+        ((3, 32), None, "basis count, grid size"),
+        ((2, 31), None, "basis count, grid size"),
+        ((2, 32), np.nan, "non-finite"),
+    ], ids=["row-count", "grid-length", "nan-entry"])
+    def test_rejects_bad_coefficients(self, request, rule_300, problem_name, shape, bad,
+                                      match):
+        problem = request.getfixturevalue(problem_name)
+        grid = SpatialGrid(32)
+        basis = legendre_basis(2, rule_300)
+        coefficients = np.ones(shape)
+        if bad is not None:
+            coefficients[1, 7] = bad
+        window = TimeWindow.with_uniform_outputs(0.0, 0.1, 2)
+        with pytest.raises(ValueError, match=match):
+            propagate_window(problem, coefficients, basis, window, grid, 1e-2)
 
 
 def build_archive(problem, rule, grid, t_final=2.0):
@@ -249,14 +254,13 @@ def build_archive(problem, rule, grid, t_final=2.0):
         if field is None:
             field = initial_field(problem, new_basis, grid, matrices)
         else:
-            field = project_node_values(basis.reconstruct(field.coefficients),
+            field = project_node_values(basis.reconstruct(field),
                                         new_basis, matrices)
         basis = new_basis
-        trajectory = propagate_window(problem, field, basis, window, grid, 1e-2,
-                                      matrices)
+        states = propagate_window(problem, field, basis, window, grid, 1e-2, matrices)
         archive.append(WindowRecord(window=window, basis=basis,
-                                    trajectory=trajectory, matrices=matrices))
-        field = trajectory.final
+                                    coefficients=states, matrices=matrices))
+        field = states[-1]
         t += 1.0
     return archive
 
@@ -302,8 +306,8 @@ class TestArchiveStatistics:
         for k, record in enumerate(archive.records):
             # a seam time belongs to the earlier window
             first = 0 if k == 0 else 1
-            for t, coeffs in zip(record.trajectory.times[first:],
-                                 record.trajectory.coefficients[first:]):
+            for t, coeffs in zip(record.window.output_times[first:],
+                                 record.coefficients[first:]):
                 values_at_nodes = record.basis.reconstruct(coeffs)
                 expected_times.append(t)
                 direct.append(float(expectation(values_at_nodes[:, 5] ** 2,
@@ -313,8 +317,8 @@ class TestArchiveStatistics:
         # at a seam the value is the earlier window's, bit for bit
         for prev, nxt in zip(archive.records, archive.records[1:]):
             (index,) = np.flatnonzero(times == prev.window.end)
-            earlier = prev.trajectory.coefficients[-1][:, 5]
-            later = nxt.trajectory.coefficients[0][:, 5]
+            earlier = prev.coefficients[-1][:, 5]
+            later = nxt.coefficients[0][:, 5]
             assert values[index] == float(earlier @ prev.matrices.mass @ earlier)
             assert values[index] != float(later @ nxt.matrices.mass @ later)
 
@@ -323,10 +327,10 @@ class TestArchiveStatistics:
         archive = build_archive(wave, rule_120, grid, t_final=1.0)
         basis = archive.records[0].basis
         gap_window = TimeWindow(5.0, 6.0)
-        trajectory = archive.records[0].trajectory
+        states = archive.records[0].coefficients
         with pytest.raises(ValueError):
             archive.append(WindowRecord(window=gap_window, basis=basis,
-                                        trajectory=trajectory,
+                                        coefficients=states,
                                         matrices=archive.records[0].matrices))
 
     def test_statistic_series_covers_all_windows(self, wave, rule_120):
@@ -346,4 +350,4 @@ class TestProjectNodeValues:
         coeffs = np.random.default_rng(7).normal(size=(basis.size, 32))
         values = basis.reconstruct(coeffs)
         field = project_node_values(values, basis)
-        np.testing.assert_allclose(field.coefficients, coeffs, atol=1e-8)
+        np.testing.assert_allclose(field, coeffs, atol=1e-8)

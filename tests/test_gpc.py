@@ -62,30 +62,30 @@ class TestSolveGpc:
     def test_order_one_is_frozen(self, wave):
         grid = SpatialGrid(64)
         window = TimeWindow.with_uniform_outputs(0.0, 2.0, 5)
-        system = solve_gpc(wave, 1, grid, window, 1e-2)
-        np.testing.assert_allclose(system.coefficients[-1, 0],
+        coefficients = solve_gpc(wave, 1, grid, window, 1e-2)
+        np.testing.assert_allclose(coefficients[-1, 0],
                                    np.cos(grid.points), atol=1e-12)
 
     def test_deterministic_ic_in_mode_zero(self, wave):
         grid = SpatialGrid(64)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
-        system = solve_gpc(wave, 6, grid, window, 1e-2)
-        np.testing.assert_allclose(system.coefficients[0, 0], np.cos(grid.points))
-        np.testing.assert_allclose(system.coefficients[0, 1:], 0.0)
+        coefficients = solve_gpc(wave, 6, grid, window, 1e-2)
+        np.testing.assert_allclose(coefficients[0, 0], np.cos(grid.points))
+        np.testing.assert_allclose(coefficients[0, 1:], 0.0)
 
     def test_short_horizon_accuracy(self, wave):
         grid = SpatialGrid(128)
         window = TimeWindow.with_uniform_outputs(0.0, 5.0, 26)
-        system = solve_gpc(wave, 12, grid, window, 1e-2)
-        mse = mean_square_series(system)
+        coefficients = solve_gpc(wave, 12, grid, window, 1e-2)
+        mse = mean_square_series(coefficients)
         exact = wave_exact_mean_square(np.asarray(window.output_times))
         np.testing.assert_allclose(mse, exact, atol=1e-3)
 
     def test_energy_conservation(self, wave):
         grid = SpatialGrid(128)
         window = TimeWindow(0.0, 10.0)
-        system = solve_gpc(wave, 12, grid, window, 1e-3)
-        energy = grid.spacing * np.sum(system.coefficients**2, axis=(1, 2))
+        coefficients = solve_gpc(wave, 12, grid, window, 1e-3)
+        energy = grid.spacing * np.sum(coefficients**2, axis=(1, 2))
         assert abs(energy[-1] - energy[0]) / energy[0] < 1e-6
 
     def test_warns_above_stable_order(self, wave):
@@ -99,17 +99,17 @@ class TestSolveGpc:
         # check against a short fixed-sample reference at xi = 0
         grid = SpatialGrid(64)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
-        system = solve_gpc(advection_reaction, 1, grid, window, 1e-3)
+        coefficients = solve_gpc(advection_reaction, 1, grid, window, 1e-3)
         u0 = advection_reaction.initial_condition(grid.points)
         expected = (np.sqrt(u0) + 0.05 * 1.0) ** 2
-        np.testing.assert_allclose(system.coefficients[-1, 0], expected, atol=1e-6)
+        np.testing.assert_allclose(coefficients[-1, 0], expected, atol=1e-6)
 
     def test_mean_series_is_mode_zero(self, wave):
         grid = SpatialGrid(32)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
-        system = solve_gpc(wave, 4, grid, window, 1e-2)
-        np.testing.assert_array_equal(mean_series(system, 5),
-                                      system.coefficients[:, 0, 5])
+        coefficients = solve_gpc(wave, 4, grid, window, 1e-2)
+        np.testing.assert_array_equal(mean_series(coefficients, 5),
+                                      coefficients[:, 0, 5])
 
 
 class TestProjectExactWave:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from empchaos import montecarlo
 from empchaos.montecarlo import McConfig, McResult, mc_statistics
 from empchaos.pde_core import (
     PdeProblem,
@@ -25,19 +26,14 @@ class TestMcConfigValidation:
             McConfig(problem=wave, grid=small_grid, window=TimeWindow(0.0, 1.0),
                      chunk_size=0)
 
-    def test_rejects_xi_length_mismatch(self, wave, small_grid):
-        config = McConfig(problem=wave, grid=small_grid,
-                          window=TimeWindow(0.0, 1.0), sample_count=3,
-                          xi_values=np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            mc_statistics(config)
-
 
 class TestStatistics:
-    def test_single_forced_sample_equals_trajectory(self, wave, small_grid):
+    def test_single_forced_sample_equals_trajectory(self, wave, small_grid, monkeypatch):
+        # the samples are drawn before any worker forks, so the patch reaches them
+        monkeypatch.setattr(montecarlo, "_draw_samples", lambda config: np.array([0.0]))
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 5)
         config = McConfig(problem=wave, grid=small_grid, window=window,
-                          sample_count=1, xi_values=np.array([0.0]), step=1e-2)
+                          sample_count=1, step=1e-2)
         result = mc_statistics(config)
         direct = solve_ensemble(wave, [0.0], np.cos(small_grid.points), window,
                                 small_grid, step=1e-2)[:, 0]
@@ -180,7 +176,7 @@ class TestWorkerProcesses:
         assert results[1].sample_count == results[2].sample_count == 700
 
     @pytest.mark.parametrize("kind", ["Wave", "AdvectionReaction"])
-    def test_nan_sample_left_out_of_every_row(self, kind):
+    def test_nan_sample_left_out_of_every_row(self, kind, monkeypatch):
         # a NaN speed leaves t = 0 finite and every later output non-finite
         problem = PdeProblem(kind=kind, initial_condition=lambda x: np.cos(x) + 1.5,
                              reaction_coefficient=0.1)
@@ -188,10 +184,12 @@ class TestWorkerProcesses:
         base = dict(problem=problem, grid=SpatialGrid(32),
                     window=TimeWindow.with_uniform_outputs(0.0, 1.0, 5), step=1e-2,
                     chunk_size=100)
+        monkeypatch.setattr(montecarlo, "_draw_samples",
+                            lambda config: np.insert(xi, 150, np.nan))
         with pytest.warns(RuntimeWarning, match="excluded 1 diverged"):
-            dropped = mc_statistics(McConfig(sample_count=301,
-                                             xi_values=np.insert(xi, 150, np.nan), **base))
-        clean = mc_statistics(McConfig(sample_count=300, xi_values=xi, **base))
+            dropped = mc_statistics(McConfig(sample_count=301, **base))
+        monkeypatch.setattr(montecarlo, "_draw_samples", lambda config: xi)
+        clean = mc_statistics(McConfig(sample_count=300, **base))
         assert (dropped.sample_count, dropped.diverged_count) == (300, 1)
         for name in ("mean", "mean_square", "stderr_mean", "stderr_mean_square"):
             np.testing.assert_allclose(getattr(dropped, name), getattr(clean, name),

@@ -233,8 +233,7 @@ def assert_matches_march(states, marched):
 
 def sampled_pod_basis(wave, rule, grid, window):
     states = solve_ensemble(wave, rule.nodes, np.cos(grid.points), window, grid)
-    return truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)),
-                        1e-4, rule, window)
+    return truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)), 1e-4, rule)
 
 
 def initial_field(basis, grid, matrices):
@@ -247,7 +246,7 @@ def galerkin_march(matrices, field, window, grid, step):
     """The wave Galerkin system c' = mass^-1 * advection * D c, marched."""
     solved = matrices.solve(matrices.advection)
     return textbook_rk4(lambda c: solved @ spatial_derivative(c, grid),
-                        field.coefficients, window, step)
+                        field, window, step)
 
 
 class TestIntegrateAdvection:
@@ -271,8 +270,8 @@ class TestIntegrateAdvection:
         basis = sampled_pod_basis(wave, rule_120, grid, window)
         matrices = assemble_matrices(basis)
         field = initial_field(basis, grid, matrices)
-        trajectory = propagate_window(wave, field, basis, window, grid, 1e-2, matrices)
-        assert_matches_march(trajectory.coefficients,
+        states = propagate_window(wave, field, basis, window, grid, 1e-2, matrices)
+        assert_matches_march(states,
                              galerkin_march(matrices, field, window, grid, 1e-2))
 
     def test_evolved_basis_window_matches_march(self, wave, rule_120):
@@ -281,17 +280,16 @@ class TestIntegrateAdvection:
         basis = sampled_pod_basis(wave, rule_120, grid, first)
         matrices = assemble_matrices(basis)
         field = initial_field(basis, grid, matrices)
-        field = propagate_window(wave, field, basis, first, grid, 1e-2, matrices).final
-        evolved = evolve_basis(basis, spatial_pair(field.coefficients, grid), 0.1)
+        field = propagate_window(wave, field, basis, first, grid, 1e-2, matrices)[-1]
+        evolved = evolve_basis(basis, spatial_pair(field, grid), 0.1)
         gram = evolved.values.T @ evolved.values
         assert not np.allclose(gram, np.eye(evolved.size), atol=1e-6)
         evolved_matrices = assemble_matrices(evolved)
-        field = project_node_values(basis.reconstruct(field.coefficients), evolved,
-                                    evolved_matrices)
+        field = project_node_values(basis.reconstruct(field), evolved, evolved_matrices)
         window = TimeWindow.with_uniform_outputs(1.0, 1.1, 2)
-        trajectory = propagate_window(wave, field, evolved, window, grid, 1e-2,
-                                      evolved_matrices)
-        assert_matches_march(trajectory.coefficients,
+        states = propagate_window(wave, field, evolved, window, grid, 1e-2,
+                                  evolved_matrices)
+        assert_matches_march(states,
                              galerkin_march(evolved_matrices, field, window, grid, 1e-2))
 
     def test_step_zero_output_is_the_initial_state(self):

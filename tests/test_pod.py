@@ -15,8 +15,6 @@ from empchaos.pod import (
 )
 from empchaos.random_space import chebyshev_nodes, trapezoid_rule
 
-WINDOW = TimeWindow(0.0, 1.0)
-
 
 def small_rule(count):
     return trapezoid_rule(chebyshev_nodes(count))
@@ -27,12 +25,12 @@ def sampled_matrix(problem, grid_size, rule):
     window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
     states = solve_ensemble(problem, rule.nodes, problem.initial_condition(grid.points),
                             window, grid)
-    return assemble_trajectory_matrix(states.transpose(1, 0, 2)), window
+    return assemble_trajectory_matrix(states.transpose(1, 0, 2))
 
 
-def assert_matches_direct_svd(matrix, threshold, rule, window=WINDOW):
+def assert_matches_direct_svd(matrix, threshold, rule):
     """truncate_pod against an SVD of the whole trajectory matrix."""
-    basis = truncate_pod(matrix, threshold, rule, window)
+    basis = truncate_pod(matrix, threshold, rule)
     _, sigma, vt = scipy.linalg.svd(matrix.entries, full_matrices=False)
     assert basis.singular_values.shape == sigma.shape
     np.testing.assert_allclose(basis.singular_values, sigma, rtol=0, atol=1e-12 * sigma[0])
@@ -81,7 +79,7 @@ class TestTruncatePod:
         column = np.arange(1.0, 13.0)
         entries = np.outer(column, [1.0, 2.0, -1.0, 0.5, 3.0])
         matrix = TrajectoryMatrix(entries=entries, grid_size=4, time_count=3)
-        basis = truncate_pod(matrix, 1e-4, rule, WINDOW)
+        basis = truncate_pod(matrix, 1e-4, rule)
         assert basis.size == 1
 
     def test_orthogonal_block_keeps_everything(self):
@@ -89,7 +87,7 @@ class TestTruncatePod:
         block = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0]
         entries = np.vstack([block, block])
         matrix = TrajectoryMatrix(entries=entries, grid_size=4, time_count=2)
-        basis = truncate_pod(matrix, 1e-4, rule, WINDOW)
+        basis = truncate_pod(matrix, 1e-4, rule)
         assert basis.size == 4
         np.testing.assert_allclose(basis.singular_values,
                                    basis.singular_values[0], rtol=1e-12)
@@ -98,38 +96,38 @@ class TestTruncatePod:
         rule = small_rule(6)
         entries = np.random.default_rng(2).normal(size=(18, 6))
         matrix = TrajectoryMatrix(entries=entries, grid_size=6, time_count=3)
-        basis = truncate_pod(matrix, 1e-12, rule, WINDOW, cap=2)
+        basis = truncate_pod(matrix, 1e-12, rule, cap=2)
         assert basis.size == 2
 
     def test_rejects_zero_matrix(self):
         rule = small_rule(3)
         matrix = TrajectoryMatrix(entries=np.zeros((6, 3)), grid_size=3, time_count=2)
         with pytest.raises(ValueError):
-            truncate_pod(matrix, 1e-4, rule, WINDOW)
+            truncate_pod(matrix, 1e-4, rule)
 
     def test_rejects_overflowing_squares(self):
         # finite entries whose squared norm overflows cannot be ranked by energy
         rule = small_rule(3)
         matrix = TrajectoryMatrix(entries=np.full((6, 3), 1e160), grid_size=3, time_count=2)
         with pytest.raises(ValueError, match="overflows"):
-            truncate_pod(matrix, 1e-4, rule, WINDOW)
+            truncate_pod(matrix, 1e-4, rule)
 
     def test_rejects_bad_threshold(self):
         rule = small_rule(3)
         matrix = TrajectoryMatrix(entries=np.ones((6, 3)), grid_size=3, time_count=2)
         with pytest.raises(ValueError):
-            truncate_pod(matrix, 0.0, rule, WINDOW)
+            truncate_pod(matrix, 0.0, rule)
 
     def test_rejects_node_count_mismatch(self):
         matrix = TrajectoryMatrix(entries=np.ones((6, 3)), grid_size=3, time_count=2)
         with pytest.raises(ValueError):
-            truncate_pod(matrix, 1e-4, small_rule(4), WINDOW)
+            truncate_pod(matrix, 1e-4, small_rule(4))
 
     def test_wave_first_window_spectrum(self, wave, rule_120):
         # singular values decay steeply: few functions capture the window,
         # comfortably at most 9 at the 1e-4 threshold
-        matrix, window = sampled_matrix(wave, 128, rule_120)
-        basis = truncate_pod(matrix, 1e-4, rule_120, window)
+        matrix = sampled_matrix(wave, 128, rule_120)
+        basis = truncate_pod(matrix, 1e-4, rule_120)
         assert 1 <= basis.size <= 9
         scaled = basis.singular_values / basis.singular_values[0]
         assert np.all(np.diff(basis.singular_values) <= 1e-12)
@@ -142,7 +140,7 @@ class TestTruncatePod:
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
         states = solve_ensemble(wave, rule_120.nodes, np.cos(grid.points), window, grid)
         basis = truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)),
-                             1e-4, rule_120, window)
+                             1e-4, rule_120)
         gram = basis.values.T @ basis.values
         np.testing.assert_allclose(gram, np.eye(basis.size), atol=1e-10)
 
@@ -151,12 +149,12 @@ class TestFourierRows:
     """truncate_pod decomposes T's energetic Fourier rows; T^T T is unchanged."""
 
     def test_wave_window_grid_128(self, wave, rule_120):
-        matrix, window = sampled_matrix(wave, 128, rule_120)
-        assert_matches_direct_svd(matrix, 1e-4, rule_120, window)
+        matrix = sampled_matrix(wave, 128, rule_120)
+        assert_matches_direct_svd(matrix, 1e-4, rule_120)
 
     def test_advection_reaction_window_grid_256(self, advection_reaction, rule_300):
-        matrix, window = sampled_matrix(advection_reaction, 256, rule_300)
-        assert_matches_direct_svd(matrix, 1e-4, rule_300, window)
+        matrix = sampled_matrix(advection_reaction, 256, rule_300)
+        assert_matches_direct_svd(matrix, 1e-4, rule_300)
 
     @pytest.mark.parametrize("grid_size", [32, 33], ids=["nyquist", "odd-no-nyquist"])
     def test_every_mode_energetic(self, grid_size):
@@ -182,7 +180,7 @@ class TestFourierRows:
         # its sample direction enters a basis at a low threshold (to ~1e-16 / 1e-10,
         # the conditioning of a direction that weak)
         assert basis.singular_values[1] == pytest.approx(sigma[1], rel=1e-6)
-        fine = truncate_pod(matrix, 1e-12, small_rule(k), WINDOW)
+        fine = truncate_pod(matrix, 1e-12, small_rule(k))
         assert fine.size == 2
         assert abs(fine.values[:, 1] @ samples[:, 1]) == pytest.approx(1.0, abs=1e-5)
         # the 1e-30 mode is dropped: Weyl's bound, and a zero-padded tail past
@@ -204,7 +202,7 @@ class TestProjectionResidual:
         rule = small_rule(4)
         entries = np.random.default_rng(3).normal(size=(8, 4))
         matrix = TrajectoryMatrix(entries=entries, grid_size=4, time_count=2)
-        basis = truncate_pod(matrix, 1e-15, rule, WINDOW)
+        basis = truncate_pod(matrix, 1e-15, rule)
         assert basis.size == 4
         assert projection_residual(matrix, basis) < 1e-10 * np.linalg.norm(entries)
 
@@ -214,7 +212,7 @@ class TestProjectionResidual:
         v = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 2)))[0]
         entries = 5.0 * np.outer(u[:, 0], v[:, 0]) + 2.0 * np.outer(u[:, 1], v[:, 1])
         matrix = TrajectoryMatrix(entries=entries, grid_size=4, time_count=2)
-        basis = truncate_pod(matrix, 0.5, rule, WINDOW)
+        basis = truncate_pod(matrix, 0.5, rule)
         assert basis.size == 1
         assert projection_residual(matrix, basis) == pytest.approx(2.0, rel=1e-10)
 
@@ -222,7 +220,7 @@ class TestProjectionResidual:
         rule = small_rule(4)
         entries = np.random.default_rng(6).normal(size=(8, 4))
         matrix = TrajectoryMatrix(entries=entries, grid_size=4, time_count=2)
-        basis = truncate_pod(matrix, 1e-4, rule, WINDOW)
+        basis = truncate_pod(matrix, 1e-4, rule)
         other = TrajectoryMatrix(entries=np.ones((9, 3)), grid_size=3, time_count=3)
         with pytest.raises(ValueError):
             projection_residual(other, basis)
@@ -237,7 +235,7 @@ class TestProjectionResidual:
         rule = small_rule(k)
         matrix = TrajectoryMatrix(entries=entries, grid_size=entries.shape[0] // 3,
                                   time_count=3)
-        basis = truncate_pod(matrix, 1e-2, rule, WINDOW)
+        basis = truncate_pod(matrix, 1e-2, rule)
         discarded = basis.singular_values[basis.size:]
         expected = float(np.sqrt(np.sum(discarded**2)))
         assert projection_residual(matrix, basis) == pytest.approx(
@@ -252,7 +250,7 @@ class TestProjectionResidual:
         rule = small_rule(k)
         matrix = TrajectoryMatrix(entries=entries, grid_size=entries.shape[0] // 3,
                                   time_count=3)
-        basis = truncate_pod(matrix, 1e-2, rule, WINDOW)
+        basis = truncate_pod(matrix, 1e-2, rule)
         residual = projection_residual(matrix, basis)
         projector = basis.values @ basis.values.T  # acts on node-space vectors
         for row in entries:
