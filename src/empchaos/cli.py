@@ -6,7 +6,8 @@ over a set of final times, and compares statistic time series between runs.
 
 Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
 config file or series CSV, or input the solver rejects (such as a step that
-breaks the CFL bound, or output times with no common step), 2 solver
+breaks the CFL bound, output times with no common step, or a step so small
+that a march would exceed ``pde_core.STEP_ENTRY_LIMIT``), 2 solver
 divergence, an ill-conditioned basis, a failed basis evolution (a Gram block
 that is singular or not positive definite) or a Monte Carlo worker process
 that died, 3 comparison failure. scaling-study exits 1 and 2 on the same
@@ -379,7 +380,9 @@ def _solve(config: ExperimentConfig, emp_config: driver.EmpiricalConfig,
         tic = time.perf_counter()
         files = _empirical_artifacts(config, archive, out)
         stage_seconds["export"] = time.perf_counter() - tic
-        return files, stage_seconds, {}
+        extra = ({"reaction_points": [record.reaction_points for record in archive.records]}
+                 if problem.has_reaction else {})
+        return files, stage_seconds, extra
 
     # the reference solvers report at the empirical solver's output times
     plan = driver.window_plan(emp_config)

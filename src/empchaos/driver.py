@@ -5,11 +5,13 @@ chooses its stochastic basis (resampled and truncated by POD, advanced by the
 matrix-exponential basis evolution, or held) and propagates. At every seam
 with a new basis, window 0 included, the solution at the quadrature nodes is
 projected onto that basis in the probability measure; one projection serves
-every seam. The state carried from window to window is the plain
-(basis count, grid size) coefficient array of the last output. Sampling and
-propagation get the one base step (``step`` or ``pde_core.default_step``);
-the solvers fit it to each window's output times. Per-stage wall-clock
-timings are recorded.
+every seam. On the reaction problem a resample window also picks the nodes
+at which its propagation evaluates the reaction: Q-DEIM points of the POD of
+the reaction of its own samples; hold windows keep the last ones. The state
+carried from window to window is the plain (basis count, grid size)
+coefficient array of the last output. Sampling and propagation get the one
+base step (``step`` or ``pde_core.default_step``); the solvers fit it to
+each window's output times. Per-stage wall-clock timings are recorded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import basis_evolution
 from .galerkin import (
@@ -50,6 +53,9 @@ EVOLVE = "evolve"
 HOLD = "hold"
 # longest sub-window of an evolve window; each sub-window evolves the basis once
 EVOLVE_SUBSTEP = 0.1
+# smallest scaled singular value of the reaction snapshots whose direction the
+# reaction interpolation keeps
+REACTION_TAIL = 1e-8
 
 
 @dataclass
@@ -142,6 +148,26 @@ def window_plan(config: EmpiricalConfig) -> list[tuple[str, TimeWindow]]:
     return plan
 
 
+def _reaction_interpolation(problem: PdeProblem, trajectories: np.ndarray,
+                            rule: QuadratureRule, least: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q-DEIM (points, lift) of a resample window's reaction.
+
+    The reaction is evaluated in place in the sampled (n_t, K, M)
+    ``trajectories``, which are not read again. Its POD gives U (K, r): the
+    directions down to ``REACTION_TAIL``, at least ``least`` of them. The
+    points p are the first r column pivots of a pivoted QR of U^T (Drmac &
+    Gugercin, SIAM J. Sci. Comput. 38(2), 2016), and lift = U * U[p]^-1.
+    """
+    snapshots = problem.reaction(trajectories, out=trajectories)
+    u = truncate_pod(assemble_trajectory_matrix(snapshots.transpose(1, 0, 2)),
+                     REACTION_TAIL, rule, least=least).values
+    _, pivots = scipy.linalg.qr(u.T, mode="r", pivoting=True, check_finite=False)
+    points = np.sort(pivots[:u.shape[1]])
+    # lift * U[p] = U
+    lift = scipy.linalg.solve(u[points].T, u.T, check_finite=False).T
+    return points, lift
+
+
 def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTimings]:
     """Empirical chaos with a per-window schedule.
 
@@ -150,7 +176,10 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     truncates them by POD, ``evolve`` advances the previous basis by the
     matrix-exponential operator, ``hold`` keeps it. A new basis gets its
     Galerkin matrices and ``u_nodes`` projected onto it; then the window is
-    propagated.
+    propagated. On the reaction problem each resample window also chooses
+    the points at which propagation evaluates the reaction, from the
+    reaction of its own samples (``_reaction_interpolation``); hold windows
+    keep them.
     """
     timings = StageTimings()
     archive = ExpansionArchive()
@@ -158,7 +187,7 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     step = config.step if config.step is not None else default_step(grid)
 
     u0 = np.asarray(problem.initial_condition(grid.points), dtype=float)
-    basis = matrices = coefficients = None
+    basis = matrices = coefficients = interpolation = None
     for action, window in window_plan(config):
         if action != HOLD:
             # the solution at the nodes: the shared initial state on window 0
@@ -172,8 +201,11 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             timings.add("sampling", time.perf_counter() - tic)
 
             tic = time.perf_counter()
-            t_matrix = assemble_trajectory_matrix(trajectories.transpose(1, 0, 2))
-            new_basis = truncate_pod(t_matrix, config.threshold, rule, cap=config.basis_cap)
+            new_basis = truncate_pod(assemble_trajectory_matrix(trajectories.transpose(1, 0, 2)),
+                                     config.threshold, rule, cap=config.basis_cap)
+            if problem.has_reaction:
+                interpolation = _reaction_interpolation(problem, trajectories, rule,
+                                                        new_basis.size)
             timings.add("svd", time.perf_counter() - tic)
         elif action == EVOLVE:
             tic = time.perf_counter()
@@ -192,10 +224,12 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             basis = new_basis
 
         tic = time.perf_counter()
-        states = propagate_window(problem, coefficients, basis, window, grid, step, matrices)
+        states = propagate_window(problem, coefficients, basis, window, grid, step, matrices,
+                                  interpolation)
         timings.add("propagation", time.perf_counter() - tic)
-        archive.append(WindowRecord(window=window, basis=basis,
-                                    coefficients=states, matrices=matrices))
+        archive.append(WindowRecord(
+            window=window, basis=basis, coefficients=states, matrices=matrices,
+            reaction_points=0 if interpolation is None else len(interpolation[0])))
         coefficients = states[-1]
 
     return archive, timings

@@ -4,9 +4,13 @@ Assembles mass/advection matrices by quadrature, projects solution values at
 the quadrature nodes onto a basis (the one projection used at every window
 seam, window 0 included), propagates the implicit coefficient ODE with RK4
 (in Fourier space for the wave problem), and evaluates solution statistics
-from the archive of solved windows. Coefficients are plain arrays: one
-window's state is c[i, x] = u_hat^i(x), shape (basis count, grid size), and
-a propagated window is the (output time, basis count, grid size) array.
+from the archive of solved windows. The reaction term is projected either
+through every quadrature node or, given interpolation points and their lift
+(DEIM), from its values at those points only, so that a stage costs in
+proportion to the point count rather than the node count. Coefficients are
+plain arrays: one window's state is c[i, x] = u_hat^i(x), shape (basis
+count, grid size), and a propagated window is the (output time, basis count,
+grid size) array.
 """
 
 from __future__ import annotations
@@ -109,10 +113,20 @@ def project_node_values(values: np.ndarray, basis: BasisSet,
 
 def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: BasisSet,
                      window: TimeWindow, grid: SpatialGrid, step: float,
-                     matrices: GalerkinMatrices | None = None) -> np.ndarray:
+                     matrices: GalerkinMatrices | None = None,
+                     interpolation: tuple[np.ndarray, np.ndarray] | None = None,
+                     ) -> np.ndarray:
     """RK4 on the mass-solved Galerkin system over one window, from the
     (basis count, M) ``coefficients``; returns the (output time, basis count,
     M) coefficients at ``window.output_times``.
+
+    For the reaction problem every RK4 stage evaluates the reaction at node
+    values Psi[p] @ c and adds mass^-1 * Psi^T * W * lift times it, in
+    buffers allocated once per window. By default p is every node and lift
+    the identity: the quadrature projection. ``interpolation = (points,
+    lift)`` evaluates the reaction at those r points only, with lift =
+    U * U[p]^-1 (K, r) the interpolant through them in a reaction basis U
+    (DEIM; Chaturantabut & Sorensen, SIAM J. Sci. Comput. 32(5), 2010).
 
     For the wave problem the operator mass^-1 * advection is diagonalized by
     the generalized eigenproblem advection * V = mass * V * diag(lam), which
@@ -132,12 +146,23 @@ def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: Basis
         # precompute the mass-solved operators once per window; each rhs call
         # is then plain matrix arithmetic
         solved_advection = matrices.solve(matrices.advection)
-        v = basis.values
-        solved_projector = matrices.solve((basis.rule.weights[:, None] * v).T)
+        weighted = (basis.rule.weights[:, None] * basis.values).T
+        node_values = basis.values
+        if interpolation is not None:
+            points, lift = interpolation
+            if lift.shape != (len(basis.rule), len(points)):
+                raise ValueError("lift must be (node count, point count)")
+            node_values, weighted = node_values[points], weighted @ lift
+        solved_projector = matrices.solve(weighted)
+        derivative, projected = np.empty((2,) + coefficients.shape)
+        nodes = np.empty((node_values.shape[0], grid.point_count))
 
         def rhs(coeffs, out):
-            np.matmul(solved_advection, spatial_derivative(coeffs, grid), out=out)
-            out += solved_projector @ problem.reaction(v @ coeffs)
+            np.matmul(solved_advection, spatial_derivative(coeffs, grid, out=derivative),
+                      out=out)
+            np.matmul(node_values, coeffs, out=nodes)
+            out += np.matmul(solved_projector, problem.reaction(nodes, out=nodes),
+                             out=projected)
 
         return integrate_ode(rhs, coefficients, window, step)
     lam, vecs = scipy.linalg.eigh(matrices.advection, matrices.mass)
@@ -153,6 +178,7 @@ class WindowRecord:
     basis: BasisSet
     coefficients: np.ndarray  # (n_output_times, basis count, M)
     matrices: GalerkinMatrices
+    reaction_points: int = 0  # nodes the reaction is evaluated at per RK4 stage
 
 
 @dataclass

@@ -19,7 +19,7 @@ output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -34,6 +34,7 @@ __all__ = [
     "TimeWindow",
     "spatial_derivative",
     "default_step",
+    "STEP_ENTRY_LIMIT",
     "integrate_ode",
     "integrate_advection",
     "integrate_reaction",
@@ -90,11 +91,15 @@ class PdeProblem:
 
     @property
     def has_reaction(self) -> bool:
-        return self.kind == ADVECTION_REACTION
+        """Whether the problem has a reaction term: with c = 0 the
+        advection-reaction problem is pure advection and is solved as one."""
+        return self.kind == ADVECTION_REACTION and self.reaction_coefficient != 0.0
 
     def reaction(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pointwise reaction term c*|u|^p (0 for the wave problem), written
-        into ``out`` when it is given."""
+        """Pointwise reaction term c*|u|^p (0 for the wave problem), computed
+        in place in ``out``, or in one new array when ``out`` is not given."""
+        if out is None:
+            out = np.empty(np.shape(u))
         magnitude = np.abs(u, out=out)
         if self.reaction_exponent == 0.5:
             powered = np.sqrt(magnitude, out=out)
@@ -238,6 +243,14 @@ def _recorder(window: TimeWindow, shape: tuple,
     return out, write
 
 
+# Most RK4 steps times state entries one ``integrate_ode`` call may march:
+# about three minutes of the reaction ensemble at 18 ns per entry and step
+# (gPC stages cost more per entry as the order grows). The largest plan of
+# the tests and benchmark workloads is 2.6e8, criterion 7's order-106 gPC at
+# grid 256 to t = 96; the next are 1.6e8, 5b's Monte Carlo blocks.
+STEP_ENTRY_LIMIT = 10**10
+
+
 def integrate_ode(
     rhs: Callable[[np.ndarray, np.ndarray], None],
     initial: np.ndarray,
@@ -253,14 +266,18 @@ def integrate_ode(
     argument are preallocated, and every step runs in them in place, ending
     in state + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4). The step is fitted to
     the output times by ``_plan_steps``, and the step-0 output is the initial
-    state itself. With ``check``, raises ``IntegrationDiverged`` at the first
-    step with a non-finite entry. The state at each output goes to
-    ``record(j, 0, state)``; by default it is written into the returned
-    (n_output_times,) + initial.shape array.
+    state itself. A plan of more than ``STEP_ENTRY_LIMIT`` steps times state
+    entries is a ValueError, raised before the march. With ``check``, raises
+    ``IntegrationDiverged`` at the first step with a non-finite entry. The
+    state at each output goes to ``record(j, 0, state)``; by default it is
+    written into the returned (n_output_times,) + initial.shape array.
     """
     # C order: a transposed view (a reaction block) would otherwise stay strided
     state = np.array(initial, dtype=float, order="C")
     actual, n_steps, outputs = _plan_steps(window, step)
+    if n_steps * state.size > STEP_ENTRY_LIMIT:
+        raise ValueError(f"{n_steps} steps of {state.size} state entries exceed the "
+                         f"limit of {STEP_ENTRY_LIMIT:.0e}; increase the step")
     out, record = _recorder(window, state.shape, record)
     k1, k2, k3, k4, stage = np.empty((5,) + state.shape)
     half, sixth = 0.5 * actual, actual / 6.0

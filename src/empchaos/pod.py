@@ -145,11 +145,13 @@ def truncate_pod(
     threshold: float,
     rule: QuadratureRule,
     cap: int | None = None,
+    least: int = 1,
 ) -> BasisSet:
     """Extract the leading right singular vectors as an empirical basis.
 
     Keeps every direction whose scaled singular value sigma_i / sigma_1 is at
-    least ``threshold`` (at least one), optionally capped.
+    least ``threshold``, and at least ``least`` directions where that many
+    singular values are computed, optionally capped.
 
     The singular values and vectors are those of T's energetic Fourier rows
     (see the module docstring): each sigma_i is within ``_TAIL * ||T||_F`` of
@@ -169,7 +171,7 @@ def truncate_pod(
     (r,) = scipy.linalg.qr(_energetic_rows(matrix), mode="r", check_finite=False)
     _, sigma, vt = scipy.linalg.svd(r, full_matrices=False, check_finite=False)
     sigma = np.pad(sigma, (0, min(matrix.entries.shape) - sigma.size))
-    n_keep = max(1, int(np.count_nonzero(sigma / sigma[0] >= threshold)))
+    n_keep = max(1, least, int(np.count_nonzero(sigma / sigma[0] >= threshold)))
     if cap is not None:
         n_keep = min(n_keep, max(1, cap))
     return BasisSet(values=vt[:n_keep].T.copy(), rule=rule, singular_values=sigma)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from empchaos import pde_core, random_space

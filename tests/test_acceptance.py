@@ -7,7 +7,6 @@ as a checklist (run with ``-s`` or rely on the verbose test-name lines).
 import warnings
 
 import numpy as np
-import pytest
 
 from empchaos import cli, driver, gpc
 from empchaos.basis_evolution import spatial_pair

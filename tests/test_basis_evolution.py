@@ -17,7 +17,6 @@ from empchaos.pde_core import (
     wave_exact_mean_square,
 )
 from empchaos.pod import BasisSet, assemble_trajectory_matrix, truncate_pod
-from empchaos.random_space import chebyshev_nodes, trapezoid_rule
 
 
 def sampled_basis(problem, rule, grid, window, threshold=1e-4):

@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import resource
+import time
 
 import numpy as np
 import pytest
@@ -462,15 +463,19 @@ class TestRunCommand:
         ("empirical", "1.0", "CFL number 0.509"),
         ("empirical", "1e-320", "step 1e-320 is too small"),
         ("gpc", "1e-320", "step 1e-320 is too small"),
-    ], ids=["empirical", "empirical-uncountable", "gpc-uncountable"])
+        ("gpc", "1e-9", "1000000000 steps of 128 state entries exceed the limit"),
+    ], ids=["empirical", "empirical-uncountable", "gpc-uncountable", "gpc-too-many-steps"])
     def test_invalid_step_exits_validation(self, tmp_path, capsys, solver, step,
                                            message):
         # a unit step, fitted to the 0.1 output spacing, is still CFL 0.509
-        # on 32 grid points; a 1e-320 step has no finite step count
+        # on 32 grid points; a 1e-320 step has no finite step count; 1e-9
+        # plans 1e9 RK4 steps, rejected before the march
         out = tmp_path / solver
+        tic = time.perf_counter()
         code = cli.main(["run", "--solver", solver, "--grid-size", "32",
                          "--node-count", "20", "--order", "4", "--t-final", "1",
                          "--step", step, "--output-dir", str(out)])
+        assert time.perf_counter() - tic < 10.0
         assert code == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "invalid-input"

@@ -1,7 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from empchaos import driver
+from empchaos import cli, driver
 from empchaos.driver import (
     EVOLVE,
     HOLD,
@@ -13,7 +16,13 @@ from empchaos.driver import (
     run_schedule,
     window_plan,
 )
-from empchaos.pde_core import SpatialGrid, TimeWindow, wave_exact_mean_square
+from empchaos.pde_core import (
+    PdeProblem,
+    SpatialGrid,
+    solve_ensemble,
+    wave_exact_mean,
+    wave_exact_mean_square,
+)
 from empchaos.random_space import chebyshev_nodes, trapezoid_rule
 
 
@@ -196,3 +205,85 @@ class TestRunSchedule:
                                  schedule=alternating_schedule)
         with pytest.raises(ValueError):
             run_schedule(config)
+
+    def test_zero_reaction_is_solved_as_pure_advection(self, rule_120):
+        def shifted_cosine(x):
+            return np.cos(x) + 1.5
+
+        config = EmpiricalConfig(
+            problem=PdeProblem(kind="AdvectionReaction", initial_condition=shifted_cosine),
+            grid=SpatialGrid(128), rule=rule_120, window_length=1.0, t_final=3.0)
+        archive, _ = run_schedule(config)
+        advection = PdeProblem(kind="Wave", initial_condition=shifted_cosine)
+        reference, _ = run_schedule(dataclasses.replace(config, problem=advection))
+        times, values = archive.statistic_series(0)
+        np.testing.assert_array_equal(values, reference.statistic_series(0)[1])
+        assert [record.reaction_points for record in archive.records] == [0, 0, 0]
+        # u = cos(xi t) + 1.5 at x = 0
+        exact = wave_exact_mean_square(times) + 3.0 * wave_exact_mean(times) + 2.25
+        assert np.max(np.abs(values - exact)) < 2e-3
+
+
+def independent_point_counts(config, records):
+    """Reaction point count of each resample window, from a direct SVD of the
+    reaction of its samples: the singular values down to 1e-8 of the largest,
+    and at least the window's basis size."""
+    grid, rule, problem = config.grid, config.rule, config.problem
+    u_nodes = np.broadcast_to(problem.initial_condition(grid.points),
+                              (len(rule), grid.point_count))
+    counts = []
+    for index, record in enumerate(records):
+        if index:
+            previous = records[index - 1]
+            u_nodes = previous.basis.values @ previous.coefficients[-1]
+        states = solve_ensemble(problem, rule.nodes, u_nodes, record.window, grid)
+        snapshots = problem.reaction(states).transpose(1, 0, 2).reshape(len(rule), -1)
+        sigma = np.linalg.svd(snapshots, compute_uv=False)
+        counts.append(max(record.basis.size, int(np.sum(sigma >= 1e-8 * sigma[0]))))
+    return counts
+
+
+class TestReactionPoints:
+    def test_manifest_counts_match_reaction_svd(self, tmp_path):
+        run = cli.ExperimentConfig(problem="advection-reaction", grid_size=32,
+                                   node_count=60, window_length=1.0, t_final=3.0,
+                                   outputs_per_window=6, output_dir=str(tmp_path))
+        assert cli.run_experiment(run) == 0
+        counts = json.loads((tmp_path / "manifest.json").read_text())["reaction_points"]
+        config = cli._empirical_config(run)
+        records = run_schedule(config)[0].records
+        assert counts == [record.reaction_points for record in records]
+        assert counts == independent_point_counts(config, records)
+        assert len(counts) == 3 and all(0 < count < 60 for count in counts)
+
+    def test_close_to_the_full_projection(self, advection_reaction, monkeypatch):
+        config = EmpiricalConfig(problem=advection_reaction, grid=SpatialGrid(32),
+                                 rule=trapezoid_rule(chebyshev_nodes(60)),
+                                 window_length=1.0, t_final=3.0, outputs_per_window=6)
+        _, reduced = run_schedule(config)[0].statistic_series(0)
+        # every node, lifted by the identity: the quadrature projection
+        monkeypatch.setattr(driver, "_reaction_interpolation",
+                            lambda problem, trajectories, rule, least:
+                            (np.arange(len(rule)), np.eye(len(rule))))
+        _, full = run_schedule(config)[0].statistic_series(0)
+        assert np.max(np.abs(reduced - full)) <= 1e-8 * np.max(np.abs(full))
+
+    def test_at_least_the_basis_size(self, advection_reaction):
+        # a 1e-12 basis threshold keeps more directions than the 1e-8 reaction tail
+        config = EmpiricalConfig(problem=advection_reaction, grid=SpatialGrid(32),
+                                 rule=trapezoid_rule(chebyshev_nodes(60)),
+                                 window_length=1.0, t_final=3.0, outputs_per_window=6,
+                                 threshold=1e-12)
+        records = run_schedule(config)[0].records
+        counts = [record.reaction_points for record in records]
+        assert counts == [record.basis.size for record in records]
+        assert counts == independent_point_counts(config, records)
+
+    def test_hold_keeps_the_points(self, advection_reaction):
+        config = EmpiricalConfig(problem=advection_reaction, grid=SpatialGrid(32),
+                                 rule=trapezoid_rule(chebyshev_nodes(60)),
+                                 window_length=1.0, t_final=3.0, outputs_per_window=6,
+                                 schedule=lambda i: HOLD if i == 1 else RESAMPLE)
+        records = run_schedule(config)[0].records
+        first, held, last = independent_point_counts(config, records)
+        assert [record.reaction_points for record in records] == [first, first, last]

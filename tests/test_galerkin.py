@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from empchaos import gpc
 from empchaos.galerkin import (
@@ -11,6 +12,7 @@ from empchaos.galerkin import (
     propagate_window,
 )
 from empchaos.pde_core import (
+    PdeProblem,
     SpatialGrid,
     TimeWindow,
     solve_ensemble,
@@ -240,6 +242,71 @@ class TestPropagateWindow:
         window = TimeWindow.with_uniform_outputs(0.0, 0.1, 2)
         with pytest.raises(ValueError, match=match):
             propagate_window(problem, coefficients, basis, window, grid, 1e-2)
+
+
+def sampled_reaction_window(problem, grid_size, node_count, t_final):
+    """A reaction window sampled from the initial condition: its POD basis,
+    the projected initial coefficients, and the reaction snapshots' right
+    singular vectors and values from a direct SVD."""
+    grid = SpatialGrid(grid_size)
+    rule = trapezoid_rule(chebyshev_nodes(node_count))
+    window = TimeWindow.with_uniform_outputs(0.0, t_final, 11)
+    u0 = np.broadcast_to(problem.initial_condition(grid.points), (node_count, grid_size))
+    states = solve_ensemble(problem, rule.nodes, u0, window, grid)
+    basis = truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)), 1e-4, rule)
+    snapshots = problem.reaction(states).transpose(1, 0, 2).reshape(node_count, -1)
+    _, sigma, vt = np.linalg.svd(snapshots.T, full_matrices=False)
+    return grid, window, basis, project_node_values(u0, basis), sigma, vt.T
+
+
+class TestReactionInterpolation:
+    def test_every_node_reproduces_full_projection(self, advection_reaction):
+        grid, window, basis, field, _, _ = sampled_reaction_window(
+            advection_reaction, 32, 40, 0.5)
+        k = len(basis.rule)
+        full = propagate_window(advection_reaction, field, basis, window, grid, 1e-2)
+        identity = propagate_window(advection_reaction, field, basis, window, grid, 1e-2,
+                                    interpolation=(np.arange(k), np.eye(k)))
+        np.testing.assert_array_equal(identity, full)
+        # every node in another order, through a full orthonormal basis U:
+        # U * U[p]^-1 is the permutation's transpose
+        rng = np.random.default_rng(3)
+        u = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        points = rng.permutation(k)
+        lift = u @ np.linalg.inv(u[points])
+        permuted = propagate_window(advection_reaction, field, basis, window, grid, 1e-2,
+                                    interpolation=(points, lift))
+        np.testing.assert_allclose(permuted, full, rtol=0, atol=1e-12 * np.max(np.abs(full)))
+
+    def test_hyperreduced_window_close_to_full(self, advection_reaction):
+        grid, window, basis, field, sigma, v = sampled_reaction_window(
+            advection_reaction, 32, 60, 1.0)
+        u = v[:, :max(basis.size, int(np.count_nonzero(sigma >= 1e-8 * sigma[0])))]
+        _, pivots = scipy.linalg.qr(u.T, mode="r", pivoting=True)
+        points = pivots[:u.shape[1]]
+        assert points.size < len(basis.rule) // 4
+        full = propagate_window(advection_reaction, field, basis, window, grid, 1e-2)
+        shapes = []
+
+        class Recorded(PdeProblem):
+            def reaction(self, u, out=None):
+                shapes.append(u.shape)
+                return super().reaction(u, out)
+
+        problem = Recorded(**vars(advection_reaction))
+        reduced = propagate_window(problem, field, basis, window, grid, 1e-2,
+                                   interpolation=(points, u @ np.linalg.inv(u[points])))
+        assert np.max(np.abs(reduced - full)) <= 1e-8 * np.max(np.abs(full))
+        # the reaction is evaluated at the points only
+        assert shapes and set(shapes) == {(points.size, grid.point_count)}
+
+    def test_rejects_lift_of_wrong_shape(self, advection_reaction, rule_300):
+        grid = SpatialGrid(32)
+        basis = legendre_basis(2, rule_300)
+        window = TimeWindow.with_uniform_outputs(0.0, 0.1, 2)
+        with pytest.raises(ValueError, match="lift"):
+            propagate_window(advection_reaction, np.ones((2, 32)), basis, window, grid, 1e-2,
+                             interpolation=(np.arange(3), np.ones((300, 4))))
 
 
 def build_archive(problem, rule, grid, t_final=2.0):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from empchaos import montecarlo
-from empchaos.montecarlo import McConfig, McResult, mc_statistics
+from empchaos.montecarlo import McConfig, mc_statistics
 from empchaos.pde_core import (
     PdeProblem,
     SpatialGrid,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,21 @@ class TestIntegrateOde:
             integrate_ode(lambda u, out: np.multiply(u, 0.0, out=out),
                           np.array([1.0]), window, 0.01)
 
+    def test_step_entry_limit_checked_before_the_march(self):
+        class Marched(Exception):
+            pass
+
+        def rhs(u, out):
+            raise Marched
+        # a 1e-6 step plans 1e6 steps over [0, 1]
+        steps = 10**6
+        with pytest.raises(Marched):
+            integrate_ode(rhs, np.ones(pde_core.STEP_ENTRY_LIMIT // steps),
+                          TimeWindow(0.0, 1.0), 1.0 / steps)
+        with pytest.raises(ValueError, match="exceed the limit"):
+            integrate_ode(rhs, np.ones(pde_core.STEP_ENTRY_LIMIT // steps + 1),
+                          TimeWindow(0.0, 1.0), 1.0 / steps)
+
     def test_scalar_system_matches_textbook_march(self):
         def rhs(u):
             return 0.1 * np.sqrt(np.abs(u)) - 0.3 * u
@@ -318,6 +335,33 @@ def old_reaction(problem, u):
     if problem.reaction_exponent == 0.5:
         return problem.reaction_coefficient * np.sqrt(np.abs(u))
     return problem.reaction_coefficient * np.abs(u) ** problem.reaction_exponent
+
+
+class TestReaction:
+    @pytest.mark.parametrize("exponent", [0.5, 3.0])
+    def test_one_new_array_bit_identical(self, exponent):
+        problem = PdeProblem(kind="AdvectionReaction", initial_condition=np.cos,
+                             reaction_coefficient=0.3, reaction_exponent=exponent)
+        u = np.random.default_rng(4).normal(size=(50, 400))
+        before = u.copy()
+        tracemalloc.start()
+        try:
+            result = problem.reaction(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(result, old_reaction(problem, before))
+        np.testing.assert_array_equal(u, before)
+        assert not np.shares_memory(result, u)
+        # one array of u's size, not one per numpy call
+        assert peak < 1.5 * u.nbytes
+        assert problem.reaction(u, out=u) is u
+        np.testing.assert_array_equal(u, result)
+
+    def test_zero_coefficient_has_no_reaction(self):
+        problem = PdeProblem(kind="AdvectionReaction", initial_condition=np.cos)
+        assert not problem.has_reaction
+        assert pde_core.advection_reaction_problem().has_reaction
 
 
 def reaction_march(problem, speeds, initial, window, grid, step):

@@ -99,6 +99,19 @@ class TestTruncatePod:
         basis = truncate_pod(matrix, 1e-12, rule, cap=2)
         assert basis.size == 2
 
+    def test_least_keeps_weaker_directions(self):
+        rule = small_rule(6)
+        entries = np.random.default_rng(2).normal(size=(18, 6)) * [1.0, 1e-6, 1e-7, 1, 1, 1]
+        matrix = TrajectoryMatrix(entries=entries, grid_size=6, time_count=3)
+        strong = truncate_pod(matrix, 1e-3, rule)
+        assert strong.size == 4
+        basis = truncate_pod(matrix, 1e-3, rule, least=5)
+        assert basis.size == 5
+        np.testing.assert_allclose(np.abs(basis.values[:, :4].T @ strong.values),
+                                   np.eye(4), atol=1e-10)
+        # no more directions than singular values
+        assert truncate_pod(matrix, 1e-3, rule, least=9).size == 6
+
     def test_rejects_zero_matrix(self):
         rule = small_rule(3)
         matrix = TrajectoryMatrix(entries=np.zeros((6, 3)), grid_size=3, time_count=2)
