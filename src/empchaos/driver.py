@@ -32,7 +32,7 @@ from .galerkin import (
     propagate_window,
 )
 from .pde_core import PdeProblem, SpatialGrid, TimeWindow, default_step, solve_ensemble
-from .pod import assemble_trajectory_matrix, truncate_pod
+from .pod import truncate_pod
 from .random_space import QuadratureRule
 
 __all__ = [
@@ -159,8 +159,7 @@ def _reaction_interpolation(problem: PdeProblem, trajectories: np.ndarray,
     Gugercin, SIAM J. Sci. Comput. 38(2), 2016), and lift = U * U[p]^-1.
     """
     snapshots = problem.reaction(trajectories, out=trajectories)
-    u = truncate_pod(assemble_trajectory_matrix(snapshots.transpose(1, 0, 2)),
-                     REACTION_TAIL, rule, least=least).values
+    u = truncate_pod(snapshots, REACTION_TAIL, rule, least=least).values
     _, pivots = scipy.linalg.qr(u.T, mode="r", pivoting=True, check_finite=False)
     points = np.sort(pivots[:u.shape[1]])
     # lift * U[p] = U
@@ -201,8 +200,8 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             timings.add("sampling", time.perf_counter() - tic)
 
             tic = time.perf_counter()
-            new_basis = truncate_pod(assemble_trajectory_matrix(trajectories.transpose(1, 0, 2)),
-                                     config.threshold, rule, cap=config.basis_cap)
+            new_basis = truncate_pod(trajectories, config.threshold, rule,
+                                     cap=config.basis_cap)
             if problem.has_reaction:
                 interpolation = _reaction_interpolation(problem, trajectories, rule,
                                                         new_basis.size)

@@ -63,10 +63,6 @@ class GalerkinMatrices:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve(self._factor, rhs)
 
-    @property
-    def size(self) -> int:
-        return self.mass.shape[0]
-
 
 def assemble_matrices(basis: BasisSet) -> GalerkinMatrices:
     """Quadrature assembly of the Gram (mass) and advection matrices."""

@@ -24,7 +24,7 @@ from empchaos.pde_core import (
     wave_problem,
     advection_reaction_problem,
 )
-from empchaos.pod import BasisSet, assemble_trajectory_matrix, projection_residual, truncate_pod
+from empchaos.pod import BasisSet, projection_residual, truncate_pod
 from empchaos.random_space import (
     chebyshev_nodes,
     gauss_legendre_rule,
@@ -88,9 +88,8 @@ def test_criterion_3_eckart_young_property():
     for start in range(10):
         window = TimeWindow.with_uniform_outputs(float(start), float(start + 1), 11)
         states = solve_ensemble(problem, rule.nodes, u_nodes, window, grid)
-        matrix = assemble_trajectory_matrix(states.transpose(1, 0, 2))
-        basis = truncate_pod(matrix, 1e-4, rule)
-        residual = projection_residual(matrix, basis)
+        basis = truncate_pod(states, 1e-4, rule)
+        residual = projection_residual(states, basis)
         expected = float(np.sqrt(np.sum(basis.singular_values[basis.size:] ** 2)))
         scale = float(basis.singular_values[0])
         worst = max(worst, abs(residual - expected) / scale)
@@ -211,7 +210,7 @@ def test_criterion_8_invariant_suite():
     problem = wave_problem()
     window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
     states = solve_ensemble(problem, rule.nodes, np.cos(grid.points), window, grid)
-    basis = truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)), 1e-4, rule)
+    basis = truncate_pod(states, 1e-4, rule)
     mass = assemble_matrices(basis).mass
     sym = bool(np.allclose(mass, mass.T, atol=1e-12))
     psd = bool(np.min(np.linalg.eigvalsh(mass)) > -1e-12)

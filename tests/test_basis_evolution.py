@@ -16,14 +16,13 @@ from empchaos.pde_core import (
     solve_ensemble,
     wave_exact_mean_square,
 )
-from empchaos.pod import BasisSet, assemble_trajectory_matrix, truncate_pod
+from empchaos.pod import BasisSet, truncate_pod
 
 
 def sampled_basis(problem, rule, grid, window, threshold=1e-4):
     u0 = problem.initial_condition(grid.points)
     states = solve_ensemble(problem, rule.nodes, u0, window, grid)
-    matrix = assemble_trajectory_matrix(states.transpose(1, 0, 2))
-    return truncate_pod(matrix, threshold, rule)
+    return truncate_pod(states, threshold, rule)
 
 
 class TestSpatialPair:
@@ -187,9 +186,7 @@ class TestEvolveBasis:
             shifted = TimeWindow.with_uniform_outputs(1.0, 1.0 + dt, 3)
             states = solve_ensemble(wave, rule_120.nodes, u_final, shifted, grid,
                                     step=1e-3)
-            fresh = truncate_pod(
-                assemble_trajectory_matrix(states.transpose(1, 0, 2)),
-                1e-4, rule_120)
+            fresh = truncate_pod(states, 1e-4, rule_120)
             q_f = np.linalg.qr(fresh.values)[0]
             cosines = np.linalg.svd(q_e.T @ q_f, compute_uv=False)
             return float(np.arccos(np.clip(cosines.min(), -1.0, 1.0)))

@@ -18,7 +18,7 @@ from empchaos.pde_core import (
     solve_ensemble,
     wave_exact_mean_square,
 )
-from empchaos.pod import BasisSet, assemble_trajectory_matrix, truncate_pod
+from empchaos.pod import BasisSet, truncate_pod
 from empchaos.random_space import (
     chebyshev_nodes,
     expectation,
@@ -46,8 +46,7 @@ def initial_field(problem, basis, grid, matrices=None):
 def pod_basis(problem, rule, grid, window, threshold=1e-4):
     u0 = problem.initial_condition(grid.points)
     states = solve_ensemble(problem, rule.nodes, u0, window, grid)
-    matrix = assemble_trajectory_matrix(states.transpose(1, 0, 2))
-    return truncate_pod(matrix, threshold, rule)
+    return truncate_pod(states, threshold, rule)
 
 
 class TestAssembleMatrices:
@@ -253,7 +252,7 @@ def sampled_reaction_window(problem, grid_size, node_count, t_final):
     window = TimeWindow.with_uniform_outputs(0.0, t_final, 11)
     u0 = np.broadcast_to(problem.initial_condition(grid.points), (node_count, grid_size))
     states = solve_ensemble(problem, rule.nodes, u0, window, grid)
-    basis = truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)), 1e-4, rule)
+    basis = truncate_pod(states, 1e-4, rule)
     snapshots = problem.reaction(states).transpose(1, 0, 2).reshape(node_count, -1)
     _, sigma, vt = np.linalg.svd(snapshots.T, full_matrices=False)
     return grid, window, basis, project_node_values(u0, basis), sigma, vt.T

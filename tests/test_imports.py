@@ -1,6 +1,8 @@
-"""Every name that a module under src/ or tests/ imports is read in it."""
+"""Every name that a module under src/ or tests/ imports is read in it, and
+every name in a package module's ``__all__`` is bound in that module."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for folder in ("src", "tests")
                  for path in (ROOT / folder).rglob("*.py"))
+MODULES = sorted(".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+                 .removesuffix(".__init__") for path in (ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +43,11 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_is_bound(name):
+    # unused_imports reads every __all__ name, so a stale one would hide an
+    # unused import, and ``from module import *`` would fail on it
+    module = importlib.import_module(name)
+    assert [public for public in module.__all__ if not hasattr(module, public)] == []

@@ -26,7 +26,7 @@ from empchaos.pde_core import (
     wave_exact_mean,
     wave_exact_mean_square,
 )
-from empchaos.pod import assemble_trajectory_matrix, truncate_pod
+from empchaos.pod import truncate_pod
 
 
 class TestSpatialGrid:
@@ -250,7 +250,7 @@ def assert_matches_march(states, marched):
 
 def sampled_pod_basis(wave, rule, grid, window):
     states = solve_ensemble(wave, rule.nodes, np.cos(grid.points), window, grid)
-    return truncate_pod(assemble_trajectory_matrix(states.transpose(1, 0, 2)), 1e-4, rule)
+    return truncate_pod(states, 1e-4, rule)
 
 
 def initial_field(basis, grid, matrices):
