@@ -33,6 +33,8 @@ __all__ = [
 
 # relative Frobenius norm of the Fourier rows truncate_pod may drop: roundoff
 _TAIL = 1e-13
+# largest piece of the trajectories' spectrum held at once
+_SPECTRUM_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,20 @@ def _energetic_rows(trajectories: np.ndarray) -> np.ndarray:
     ``_TAIL**2`` of the total.
     """
     n_t, k, m = trajectories.shape
-    spectrum = np.fft.rfft(trajectories, axis=-1)
-    modes = np.arange(spectrum.shape[-1])
+    modes = np.arange(m // 2 + 1)
     paired = (modes > 0) & (2 * modes < m)
     weights = np.where(paired, 2.0, 1.0) / m
-    energy = weights * (np.einsum("tkm,tkm->m", spectrum.real, spectrum.real)
-                        + np.einsum("tkm,tkm->m", spectrum.imag, spectrum.imag))
+    # the spectrum is taken a few output times at a time: in one piece it is a
+    # fresh transient the size of T on every call, which on a fragmented heap
+    # makes the process's peak memory vary from run to run
+    per_chunk = max(1, _SPECTRUM_BYTES // (16 * k * modes.size))
+    chunks = [slice(a, a + per_chunk) for a in range(0, n_t, per_chunk)]
+    energy = np.zeros(modes.size)
+    for chunk in chunks:
+        spectrum = np.fft.rfft(trajectories[chunk])
+        energy += (np.einsum("tkm,tkm->m", spectrum.real, spectrum.real)
+                   + np.einsum("tkm,tkm->m", spectrum.imag, spectrum.imag))
+    energy *= weights
     total = energy.sum()
     if not 0.0 < total < np.inf:
         raise ValueError("degenerate input: trajectories are zero, hold non-finite "
@@ -93,13 +103,18 @@ def _energetic_rows(trajectories: np.ndarray) -> np.ndarray:
     dropped = np.count_nonzero(np.cumsum(energy[by_energy]) <= _TAIL**2 * total)
     kept = np.sort(by_energy[dropped:])
     imaginary = kept[paired[kept]]
-    scale = np.sqrt(weights)[:, None, None]
-    rows = np.empty((kept.size + imaginary.size, n_t, k))
-    np.multiply(np.moveaxis(spectrum.real[..., kept], -1, 0), scale[kept],
-                out=rows[:kept.size])
-    np.multiply(np.moveaxis(spectrum.imag[..., imaginary], -1, 0), scale[imaginary],
-                out=rows[kept.size:])
-    return rows.reshape(-1, k)
+    scale = np.sqrt(weights)[:, None]
+    # written straight into Fortran order, the layout LAPACK reads, so the QR
+    # need not copy them; the last chunk's spectrum is still at hand
+    rows = np.empty((k, kept.size + imaginary.size, n_t))
+    for i, chunk in enumerate(reversed(chunks)):
+        if i:
+            spectrum = np.fft.rfft(trajectories[chunk])
+        np.multiply(spectrum.real[..., kept].transpose(1, 2, 0), scale[kept],
+                    out=rows[:, :kept.size, chunk])
+        np.multiply(spectrum.imag[..., imaginary].transpose(1, 2, 0), scale[imaginary],
+                    out=rows[:, kept.size:, chunk])
+    return rows.reshape(k, -1).T
 
 
 def truncate_pod(
@@ -136,7 +151,8 @@ def truncate_pod(
     # (T. Chan's R-bidiagonalization), so only R is decomposed and no left
     # vectors are formed. The BLAS thread policy lives in the CLI
     # (cli._one_blas_thread), not here.
-    (r,) = scipy.linalg.qr(_energetic_rows(trajectories), mode="r", check_finite=False)
+    (r,) = scipy.linalg.qr(_energetic_rows(trajectories), mode="r", overwrite_a=True,
+                           check_finite=False)
     _, sigma, vt = scipy.linalg.svd(r, full_matrices=False, check_finite=False)
     sigma = np.pad(sigma, (0, min(n_t * m, k) - sigma.size))
     n_keep = max(1, least, int(np.count_nonzero(sigma / sigma[0] >= threshold)))

@@ -182,6 +182,16 @@ class TestFourierRows:
         assert np.max(np.abs(basis.singular_values - sigma)) <= bound
         assert np.all(basis.singular_values[2 * 2 * n_t:] == 0.0)
 
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5])
+    def test_rows_do_not_depend_on_the_spectrum_chunks(self, wave, monkeypatch, per_chunk):
+        # 11 output times; 5 per chunk leaves a last chunk of one
+        rule = small_rule(6)
+        trajectories = sampled_trajectories(wave, 32, rule)
+        whole = pod._energetic_rows(trajectories)
+        assert whole.shape[0] < 32 * 11  # some modes dropped
+        monkeypatch.setattr(pod, "_SPECTRUM_BYTES", per_chunk * 16 * 6 * 17)
+        np.testing.assert_array_equal(pod._energetic_rows(trajectories), whole)
+
 
 # (n_t = 3, K, M) trajectories
 random_trajectories = hnp.arrays(
