@@ -6,19 +6,22 @@ and is integrated with classical fixed-step RK4. Both RK4 kernels fit the
 requested step to the window's output times through one planner, which
 shrinks it until each output lands on a step boundary. ``integrate_ode`` is
 the one marched RK4, run in place in preallocated stage buffers: the
-advection-reaction ensemble (in cache-sized blocks of samples, each held
-sample-major), the Galerkin reaction system and gPC all march through it.
-The wave operator is linear and its central difference is circulant, so its
-RK4 steps are applied in Fourier space: each mode is multiplied by a power of
-the RK4 stability polynomial, which gives the marched solution without the
-march. Both kernels hand the states at each output time to a ``record``
-callable, so a caller can reduce them as they come instead of holding every
-output.
+advection-reaction ensemble, the Galerkin reaction system and gPC all march
+through its steps. The ensemble is marched in cache-sized blocks of samples,
+each held sample-major, on one thread per CPU. The wave operator is linear
+and its central difference is circulant, so its RK4 steps are applied in
+Fourier space: each mode is multiplied by a power of the RK4 stability
+polynomial, which gives the marched solution without the march. Both kernels
+hand the states at each output time to a ``record`` callable, so a caller can
+reduce them as they come instead of holding every output; the ensemble's
+blocks report in any order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -154,6 +157,15 @@ class TimeWindow:
         return cls(start, end, tuple(np.linspace(start, end, count)))
 
 
+def _difference(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The raw periodic central difference u[i + 1] - u[i - 1] along the last
+    axis, written into ``out``."""
+    np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+    np.subtract(values[..., 1], values[..., -1], out=out[..., 0])
+    np.subtract(values[..., 0], values[..., -2], out=out[..., -1])
+    return out
+
+
 def spatial_derivative(values: np.ndarray, grid: SpatialGrid,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Second-order central difference with periodic wraparound.
@@ -169,9 +181,7 @@ def spatial_derivative(values: np.ndarray, grid: SpatialGrid,
         )
     if out is None:
         out = np.empty_like(values)
-    np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
-    np.subtract(values[..., 1], values[..., -1], out=out[..., 0])
-    np.subtract(values[..., 0], values[..., -2], out=out[..., -1])
+    _difference(values, out)
     out /= 2.0 * grid.spacing
     return out
 
@@ -243,12 +253,24 @@ def _recorder(window: TimeWindow, shape: tuple,
     return out, write
 
 
-# Most RK4 steps times state entries one ``integrate_ode`` call may march:
+# Most RK4 steps times state entries one ``integrate_ode`` call, or one block of
+# ``integrate_reaction``, may march:
 # about three minutes of the reaction ensemble at 18 ns per entry and step
 # (gPC stages cost more per entry as the order grows). The largest plan of
 # the tests and benchmark workloads is 2.6e8, criterion 7's order-106 gPC at
 # grid 256 to t = 96; the next are 1.6e8, 5b's Monte Carlo blocks.
 STEP_ENTRY_LIMIT = 10**10
+
+
+def _plan_march(window: TimeWindow, step: float,
+                entries: int) -> tuple[float, int, dict[int, int]]:
+    """``_plan_steps``, rejecting a plan of more than ``STEP_ENTRY_LIMIT``
+    steps times ``entries`` state entries as a ValueError."""
+    actual, n_steps, outputs = _plan_steps(window, step)
+    if n_steps * entries > STEP_ENTRY_LIMIT:
+        raise ValueError(f"{n_steps} steps of {entries} state entries exceed the "
+                         f"limit of {STEP_ENTRY_LIMIT:.0e}; increase the step")
+    return actual, n_steps, outputs
 
 
 def integrate_ode(
@@ -272,14 +294,21 @@ def integrate_ode(
     state at each output goes to ``record(j, 0, state)``; by default it is
     written into the returned (n_output_times,) + initial.shape array.
     """
-    # C order: a transposed view (a reaction block) would otherwise stay strided
     state = np.array(initial, dtype=float, order="C")
-    actual, n_steps, outputs = _plan_steps(window, step)
-    if n_steps * state.size > STEP_ENTRY_LIMIT:
-        raise ValueError(f"{n_steps} steps of {state.size} state entries exceed the "
-                         f"limit of {STEP_ENTRY_LIMIT:.0e}; increase the step")
+    plan = _plan_march(window, step, state.size)
     out, record = _recorder(window, state.shape, record)
-    k1, k2, k3, k4, stage = np.empty((5,) + state.shape)
+    _march(rhs, state, np.empty((5,) + state.shape), window.start, plan, check, record)
+    return out
+
+
+def _march(rhs: Callable[[np.ndarray, np.ndarray], None], state: np.ndarray,
+           stages: np.ndarray, start: float, plan: tuple[float, int, dict[int, int]],
+           check: bool, record: Record) -> None:
+    """The RK4 steps of ``integrate_ode``, run on ``plan`` in place in
+    ``state`` and the five ``stages`` buffers of its shape (k1 to k4 and the
+    stage argument)."""
+    actual, n_steps, outputs = plan
+    k1, k2, k3, k4, stage = stages
     half, sixth = 0.5 * actual, actual / 6.0
     if 0 in outputs:
         record(outputs[0], 0, state)
@@ -302,10 +331,9 @@ def integrate_ode(
         k2 *= sixth
         state += k2
         if check and not np.isfinite(state).all():
-            raise IntegrationDiverged(window.start + k * actual)
+            raise IntegrationDiverged(start + k * actual)
         if k in outputs:
             record(outputs[k], 0, state)
-    return out
 
 
 def integrate_advection(
@@ -362,10 +390,18 @@ def integrate_advection(
     return out
 
 
-# State entries (samples times grid points) per block of ``integrate_reaction``:
-# the block's state, the five stage buffers of ``integrate_ode`` and the
-# reaction scratch (7 x 256 KB) fit in a 2 MB per-core L2 cache.
+# State entries (samples times grid points) per block of ``integrate_reaction``;
+# a block's workspace (state, five stage buffers and reaction scratch) is then
+# 7 x 256 KB. On a 2-vCPU AMD EPYC with a 1 MiB L2 cache per core, blocks of
+# 16K to 128K entries marched within about 5 % of each other on one thread,
+# and blocks of 4K about 50 % slower: numpy's per-call overhead then outweighs
+# the cache. On two threads 32K to 128K stayed within 10 %, but 16K ran 25 %
+# slower, the threads waiting on each other for the interpreter lock.
 _BLOCK_ENTRIES = 32_768
+# Most threads one ``integrate_reaction`` call marches its blocks on; None is
+# one per CPU this process may run on. A Monte Carlo worker process sets 1,
+# because its sibling processes take the other CPUs.
+_march_threads: int | None = None
 
 
 def integrate_reaction(
@@ -381,13 +417,18 @@ def integrate_reaction(
     """Classical fixed-step RK4 for u_t = speed * (D u) + problem.reaction(u).
 
     ``initial`` holds one state of length M per row, marched with the speed
-    of its row; D is the periodic central difference. The rows do not
-    couple, so ``integrate_ode`` marches them a block at a time, each block
-    copied transposed (samples contiguous) so that its state and stage
-    buffers stay in cache for the whole window. With ``check``, raises
-    ``IntegrationDiverged`` at the earliest step at which any row is
-    non-finite. Each block's states at each output go to
-    ``record(j, first, rows)``, block after block in row order; by default
+    of its row; D is the periodic central difference, taken as the raw
+    difference times speed / (2h). The rows do not couple, so the RK4 steps of
+    ``integrate_ode`` march them a block of ``_BLOCK_ENTRIES`` state entries
+    at a time, each block copied transposed (samples contiguous) so that its
+    state and stage buffers stay in cache for the whole window. The blocks
+    are marched on min(CPUs, blocks) threads, since numpy releases the
+    interpreter lock inside each array operation; the partition into blocks
+    does not depend on the thread count, and neither do the states. With
+    ``check``, raises ``IntegrationDiverged`` at the earliest step at which
+    any row is non-finite. Each block's states at each output go to
+    ``record(j, first, rows)``: each block reports its outputs in order, but
+    the blocks come in any order, from several threads at once. By default
     they are written into the returned (n_output_times, K, M) array.
     """
     initial = np.asarray(initial, dtype=float)
@@ -397,29 +438,55 @@ def integrate_reaction(
                          f"({speeds.size}, {grid.point_count})")
     states, record = _recorder(window, initial.shape, record)
     size = max(1, _BLOCK_ENTRIES // grid.point_count)
-    diverged = None
-    for first in range(0, speeds.size, size):
-        speed = speeds[first:first + size]
-        scratch = np.empty((grid.point_count, speed.size))
+    entries = min(size, speeds.size) * grid.point_count
+    plan = _plan_march(window, step, entries)
+    scaled = speeds / (2.0 * grid.spacing)
+    firsts = range(0, speeds.size, size)
+    threads = min(_march_threads or len(os.sched_getaffinity(0)), len(firsts))
+    # one workspace per thread, allocated here: buffers that a pool thread
+    # allocates stay in that thread's malloc arena and raise the peak memory.
+    # At most ``threads`` blocks are marched at once, so one is always free.
+    workspaces = [np.empty(7 * entries) for _ in range(threads)]
 
-        def rhs(u: np.ndarray, out: np.ndarray) -> None:
-            # speed * (D u) + reaction(u), one sample per column
-            spatial_derivative(u.T, grid, out=out.T)
-            out *= speed
-            out += problem.reaction(u, out=scratch)
-
-        def block_record(j: int, _: int, rows: np.ndarray) -> None:
-            record(j, first, rows.T)
-
+    def march(first: int) -> IntegrationDiverged | None:
+        speed = scaled[first:first + size]
+        workspace = workspaces.pop()
         try:
-            integrate_ode(rhs, initial[first:first + size].T, window, step, check,
-                          block_record)
+            state, *stages, scratch = workspace[:7 * speed.size * grid.point_count].reshape(
+                7, grid.point_count, speed.size)
+
+            def rhs(u: np.ndarray, out: np.ndarray) -> None:
+                # speed / (2h) * (raw difference of u) + reaction(u), one sample per column
+                _difference(u.T, out.T)
+                out *= speed
+                out += problem.reaction(u, out=scratch)
+
+            def block_record(j: int, _: int, rows: np.ndarray) -> None:
+                record(j, first, rows.T)
+
+            np.copyto(state, initial[first:first + size].T)
+            _march(rhs, state, stages, window.start, plan, check, block_record)
         except IntegrationDiverged as exc:
-            # a later block may diverge earlier: report the minimum
-            if diverged is None or exc.time < diverged.time:
-                diverged = exc
-    if diverged is not None:
-        raise diverged
+            return exc
+        finally:
+            workspaces.append(workspace)
+        return None
+
+    if threads > 1:
+        # loaded on first use, as montecarlo loads its process pool
+        from concurrent.futures import ThreadPoolExecutor
+        # each block runs in a copy of this thread's context, which holds
+        # numpy's floating-point error handling (np.errstate)
+        contexts = [contextvars.copy_context() for _ in firsts]
+        with ThreadPoolExecutor(threads) as pool:
+            outcomes = list(pool.map(lambda context, first: context.run(march, first),
+                                     contexts, firsts))
+    else:
+        outcomes = list(map(march, firsts))
+    diverged = [exc for exc in outcomes if exc is not None]
+    if diverged:
+        # a later block may diverge earlier: report the earliest
+        raise min(diverged, key=lambda exc: exc.time)
     return states
 
 
@@ -438,12 +505,14 @@ def solve_ensemble(
     The samples do not couple, so the stacked RK4 solve performs exactly the
     per-sample arithmetic: through ``integrate_advection`` for the wave
     problem, and through ``integrate_reaction``, which marches the samples in
-    cache-sized blocks held sample-major, for the advection-reaction
-    problem. ``initial`` is either one state of length M (shared by all
-    samples) or an array of shape (K, M). The step (by default
+    cache-sized blocks held sample-major, on several threads, for the
+    advection-reaction problem. ``initial`` is either one state of length M
+    (shared by all samples) or an array of shape (K, M). The step (by default
     ``default_step``) is fitted to the output times before the CFL bound is
-    checked against it. Returns (n_output_times, K, M),
-    or hands the states to ``record`` as the kernels describe.
+    checked against it. Returns (n_output_times, K, M), or hands the states
+    to ``record`` as the kernels describe: all rows at once on the wave, and
+    block by block, the blocks in any order and from several threads at once,
+    on the advection-reaction problem.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     initial = np.asarray(initial, dtype=float)

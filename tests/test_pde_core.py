@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -378,22 +380,45 @@ def samples_per_block(grid):
     return pde_core._BLOCK_ENTRIES // grid.point_count
 
 
-class TestIntegrateReaction:
-    """The blocked, sample-major RK4 kernel against the march it replaces,
-    compared bit for bit."""
+def assert_close_to_march(states, marched):
+    """The kernel folds 1/(2h) into each sample's speed, where the textbook
+    march divides the difference by 2h: the states agree to roundoff,
+    relative to the largest entry (an entry near zero has no relative digits
+    to spare)."""
+    np.testing.assert_allclose(states, marched, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(marched)))
 
-    def test_single_sample_through_solve_ensemble(self, advection_reaction):
+
+def on_one_and_two_cpus(monkeypatch, march, *args, **kwargs):
+    """``march(*args, **kwargs)`` with the CPU count patched to 1 and then to
+    2, so that a kernel with two or more blocks marches them on one thread and
+    then on two. Asserts that both give the same states and returns them."""
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        results.append(march(*args, **kwargs))
+    np.testing.assert_array_equal(results[0], results[1])
+    return results[0]
+
+
+class TestIntegrateReaction:
+    """The blocked, sample-major RK4 kernel against the textbook march it
+    replaces, on one thread and on two."""
+
+    def test_single_sample_through_solve_ensemble(self, advection_reaction, monkeypatch):
         grid = SpatialGrid(128)
         u0 = advection_reaction.initial_condition(grid.points)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
-        states = solve_ensemble(advection_reaction, [0.7], u0, window, grid, 1e-2)
+        states = on_one_and_two_cpus(monkeypatch, solve_ensemble, advection_reaction,
+                                     [0.7], u0, window, grid, 1e-2)
         marched = reaction_march(advection_reaction, [0.7], u0[None, :], window,
                                  grid, 1e-2)
-        np.testing.assert_array_equal(states, marched)
+        assert_close_to_march(states, marched)
 
     @pytest.mark.parametrize("points,extra_blocks,extra_rows",
                              [(64, 1, 1), (64, 2, 3), (65, 2, 3)])
-    def test_ragged_blocks_match_march(self, advection_reaction, points,
+    def test_ragged_blocks_match_march(self, advection_reaction, monkeypatch, points,
                                        extra_blocks, extra_rows):
         grid = SpatialGrid(points)
         count = extra_blocks * samples_per_block(grid) + extra_rows
@@ -401,24 +426,25 @@ class TestIntegrateReaction:
         speeds = rng.uniform(-1.0, 1.0, count)
         initial = 1.5 + rng.uniform(-1.0, 1.0, (count, points))
         window = TimeWindow.with_uniform_outputs(0.3, 0.8, 6)
-        states = integrate_reaction(advection_reaction, speeds, initial, window,
-                                    grid, 1e-2)
-        np.testing.assert_array_equal(
-            states, reaction_march(advection_reaction, speeds, initial, window,
-                                   grid, 1e-2))
+        states = on_one_and_two_cpus(monkeypatch, integrate_reaction, advection_reaction,
+                                     speeds, initial, window, grid, 1e-2)
+        assert_close_to_march(states, reaction_march(advection_reaction, speeds, initial,
+                                                     window, grid, 1e-2))
 
-    def test_shared_initial_state_through_solve_ensemble(self, advection_reaction):
+    def test_shared_initial_state_through_solve_ensemble(self, advection_reaction,
+                                                         monkeypatch):
         grid = SpatialGrid(64)
         count = samples_per_block(grid) + 5
         speeds = np.random.default_rng(5).uniform(-1.0, 1.0, count)
         u0 = advection_reaction.initial_condition(grid.points)
         window = TimeWindow.with_uniform_outputs(0.0, 0.5, 3)
-        states = solve_ensemble(advection_reaction, speeds, u0, window, grid, 1e-2)
+        states = on_one_and_two_cpus(monkeypatch, solve_ensemble, advection_reaction,
+                                     speeds, u0, window, grid, 1e-2)
         marched = reaction_march(advection_reaction, speeds,
                                  np.tile(u0, (count, 1)), window, grid, 1e-2)
-        np.testing.assert_array_equal(states, marched)
+        assert_close_to_march(states, marched)
 
-    def test_linear_exponent_uses_power_path(self):
+    def test_linear_exponent_uses_power_path(self, monkeypatch):
         problem = PdeProblem(kind="AdvectionReaction",
                              initial_condition=lambda x: np.cos(x) + 1.5,
                              reaction_coefficient=0.3, reaction_exponent=1.0)
@@ -427,38 +453,44 @@ class TestIntegrateReaction:
         speeds = rng.uniform(-1.0, 1.0, samples_per_block(grid) + 2)
         initial = rng.normal(size=(speeds.size, 32))
         window = TimeWindow.with_uniform_outputs(0.0, 0.5, 3)
-        np.testing.assert_array_equal(
-            integrate_reaction(problem, speeds, initial, window, grid, 1e-2),
+        assert_close_to_march(
+            on_one_and_two_cpus(monkeypatch, integrate_reaction, problem, speeds, initial,
+                                window, grid, 1e-2),
             reaction_march(problem, speeds, initial, window, grid, 1e-2))
 
-    def test_step_zero_output_is_the_initial_state(self, advection_reaction):
+    def test_step_zero_output_is_the_initial_state(self, advection_reaction, monkeypatch):
         grid = SpatialGrid(32)
         initial = np.random.default_rng(2).normal(size=(3, 32))
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
-        states = integrate_reaction(advection_reaction, np.array([-1.0, 0.2, 0.9]),
-                                    initial, window, grid, 1e-2)
+        states = on_one_and_two_cpus(monkeypatch, integrate_reaction, advection_reaction,
+                                     np.array([-1.0, 0.2, 0.9]), initial, window, grid, 1e-2)
         np.testing.assert_array_equal(states[0], initial)
 
-    def test_block_record_gets_rows_in_row_order(self, advection_reaction):
+    def test_block_record_gets_each_block_in_output_order(self, advection_reaction,
+                                                         monkeypatch):
         grid = SpatialGrid(64)
         block = samples_per_block(grid)
         rng = np.random.default_rng(6)
-        speeds = rng.uniform(-1.0, 1.0, block + 3)
+        speeds = rng.uniform(-1.0, 1.0, 2 * block + 3)
         initial = 1.5 + rng.uniform(-1.0, 1.0, (speeds.size, 64))
         window = TimeWindow.with_uniform_outputs(0.0, 0.2, 3)
-        calls = []
-        integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2,
-                           record=lambda j, first, rows: calls.append(
-                               (j, first, rows.copy())))
-        assert [(j, first, rows.shape) for j, first, rows in calls] == [
-            (0, 0, (block, 64)), (1, 0, (block, 64)), (2, 0, (block, 64)),
-            (0, block, (3, 64)), (1, block, (3, 64)), (2, block, (3, 64))]
-        marched = reaction_march(advection_reaction, speeds, initial, window, grid,
-                                 1e-2)
-        for j, first, rows in calls:
-            np.testing.assert_array_equal(rows, marched[j, first:first + len(rows)])
+        states = integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            calls = []
+            integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2,
+                               record=lambda j, first, rows: calls.append(
+                                   (j, first, rows.copy())))
+            # the blocks may interleave, but each reports its outputs in order
+            for first in (0, block, 2 * block):
+                assert [j for j, f, _ in calls if f == first] == [0, 1, 2]
+            assert sorted((j, first, rows.shape) for j, first, rows in calls) == sorted(
+                (j, first, (count, 64)) for j in range(3)
+                for first, count in ((0, block), (block, block), (2 * block, 3)))
+            for j, first, rows in calls:
+                np.testing.assert_array_equal(rows, states[j, first:first + len(rows)])
 
-    def test_divergence_time_is_the_earliest_over_all_blocks(self):
+    def test_divergence_time_is_the_earliest_over_all_blocks(self, monkeypatch):
         # cubic growth blows up from amplitude a at about t = 1/(2a^2); rows
         # in blocks 1, 2 and 3 blow up at different steps, earliest in block
         # 2, so neither the first nor the last diverging block gives the time
@@ -475,8 +507,11 @@ class TestIntegrateReaction:
         window = TimeWindow(0.0, 0.5)
 
         def time_of(march, *args):
-            with pytest.raises(IntegrationDiverged) as info, \
+            # the caller's np.errstate also holds in the threads that march
+            # the blocks: a warning would be raised as an error
+            with pytest.raises(IntegrationDiverged) as info, warnings.catch_warnings(), \
                     np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
                 march(blower, *args, window, grid, 1e-2)
             return info.value.time
 
@@ -485,7 +520,9 @@ class TestIntegrateReaction:
         assert alone[2] < alone[3] < alone[1]
         marched = time_of(reaction_march, speeds, initial)
         assert marched == alone[2]
-        assert time_of(integrate_reaction, speeds, initial) == marched
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert time_of(integrate_reaction, speeds, initial) == marched
 
 
 class TestSolveFixedXi:
