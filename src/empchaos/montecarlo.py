@@ -3,33 +3,30 @@
 Samples the random variable with a counter-based generator and integrates
 each realization with the shared deterministic solver. The samples are cut
 into chunks of ``chunk_size``, and the chunks are solved on
-min(CPUs, chunks) processes, or in this process when that is 1; only then
-does the kernel march a chunk's blocks of samples on several threads. No
-chunk holds its states: the kernels hand each block of states at each output
-time to a reducer, which folds the blocks in row order, whatever order they
-come in, into the chunk's count, mean and M2 (sum of squared deviations) of
-u and u^2. A process returns only these moments, and they are merged in
-chunk order by the pairwise update of Chan, Golub and LeVeque (1983). So the
-result depends on neither the number of processes nor the number of
-threads, and identical seed and configuration give bit-identical results.
+min(CPUs, chunks) processes, or in this process when that is 1. No chunk
+holds its states: the kernels hand each block of states at each output time,
+in row order and on one thread, to a reducer, which folds it into the
+chunk's count, mean and M2 (sum of squared deviations) of u and u^2. A
+process returns only these moments, and they are merged in chunk order by
+the pairwise update of Chan, Golub and LeVeque (1983). So the result does
+not depend on the number of processes or CPUs, and identical seed and
+configuration give bit-identical results.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pde_core
 from .pde_core import (
     IntegrationDiverged,
     PdeProblem,
     SpatialGrid,
     TimeWindow,
+    _cpu_count,
     solve_ensemble,
 )
 
@@ -128,25 +125,14 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
 
 
 class _ChunkReducer:
-    """The kernels' ``record`` for one chunk: folds each block of states into
-    the chunk's moments and marks the rows that are not finite.
-
-    The kernel may march the blocks on several threads, so they come in any
-    order. At each output the blocks are folded in row order: a block that
-    comes before the blocks ahead of it waits, as its own count, mean and M2,
-    until they are folded. So the moments do not depend on the order.
-    """
+    """The kernels' ``record`` for one chunk: folds each block of states
+    into the chunk's moments and marks the rows that are not finite."""
 
     def __init__(self, count: int, shape: tuple):
         self.finite = np.ones(count, dtype=bool)
         self.diverged = False
         self.mean = np.zeros((2,) + shape)
         self.m2 = np.zeros((2,) + shape)
-        # per output time: the rows folded so far, and the waiting blocks'
-        # (rows, mean, M2) by first row
-        self.folded = [0] * shape[0]
-        self.waiting = [{} for _ in range(shape[0])]
-        self.lock = threading.Lock()
 
     def __call__(self, j: int, first: int, rows: np.ndarray) -> None:
         finite = np.isfinite(rows).all(axis=1)
@@ -159,14 +145,9 @@ class _ChunkReducer:
         mean = values.mean(axis=1)
         values -= mean[:, None]
         m2 = np.square(values, out=values).sum(axis=1)
-        with self.lock:
-            waiting = self.waiting[j]
-            waiting[first] = len(rows), mean, m2
-            while self.folded[j] in waiting:
-                count, mean, m2 = waiting.pop(self.folded[j])
-                self.mean[:, j], self.m2[:, j] = _combine(
-                    self.folded[j], self.mean[:, j], self.m2[:, j], count, mean, m2)
-                self.folded[j] += count
+        # blocks arrive in row order, so rows [0, first) are merged already
+        self.mean[:, j], self.m2[:, j] = _combine(
+            first, self.mean[:, j], self.m2[:, j], len(rows), mean, m2)
 
 
 def _chunk_moments(kind: str, reaction_coefficient: float, reaction_exponent: float,
@@ -194,21 +175,15 @@ def _chunk_moments(kind: str, reaction_coefficient: float, reaction_exponent: fl
     return _Moments(0, np.zeros((2,) + shape), np.zeros((2,) + shape))
 
 
-def _one_march_thread() -> None:
-    """Worker process initializer: the worker marches its chunk's blocks on
-    one thread, because its sibling processes take the other CPUs."""
-    pde_core._march_threads = 1
-
-
 def mc_statistics(config: McConfig) -> McResult:
     """Run the Monte Carlo ensemble and accumulate statistics.
 
     The chunks are solved on min(CPUs, chunks) forked processes, each
-    marching on one thread and returning its chunk's moments, and merged in
-    chunk order; with one process they are solved here, through the same
-    function, on one thread per CPU. Diverged samples (non-finite at some
-    output time) are excluded with a warning; if none is left,
-    ``AllSamplesDiverged`` is raised.
+    returning its chunk's moments, and merged in chunk order; with one
+    process they are solved here, through the same function. Either way a
+    chunk is marched on one thread, because its reducer takes the states.
+    Diverged samples (non-finite at some output time) are excluded with a
+    warning; if none is left, ``AllSamplesDiverged`` is raised.
     """
     # loaded on first use, as numpy loads np.fft: importing the library
     # should not pay for the process machinery
@@ -223,15 +198,14 @@ def mc_statistics(config: McConfig) -> McResult:
                               config.step)
     chunks = [xi[start:start + config.chunk_size]
               for start in range(0, xi.size, config.chunk_size)]
-    workers = min(len(os.sched_getaffinity(0)), len(chunks))
+    workers = min(_cpu_count(), len(chunks))
     if workers == 1:
         total = functools.reduce(_merge, map(solve, chunks))
     else:
         # fork: a worker starts with the library loaded instead of importing
         # it. Leaving the block reaps the workers, so their CPU time counts.
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context,
-                                 initializer=_one_march_thread) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
             total = functools.reduce(_merge, pool.map(solve, chunks))
     diverged = xi.size - total.count
     if diverged:

@@ -12,14 +12,13 @@ each held sample-major, on one thread per CPU. The wave operator is linear
 and its central difference is circulant, so its RK4 steps are applied in
 Fourier space: each mode is multiplied by a power of the RK4 stability
 polynomial, which gives the marched solution without the march. Both kernels
-hand the states at each output time to a ``record`` callable, so a caller can
-reduce them as they come instead of holding every output; the ensemble's
-blocks report in any order.
+hand the states at each output time to a ``record`` callable, in row order,
+so a caller can reduce them as they come instead of holding every output;
+an ensemble with a ``record`` is marched on one thread.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 from dataclasses import dataclass
@@ -398,10 +397,14 @@ def integrate_advection(
 # the cache. On two threads 32K to 128K stayed within 10 %, but 16K ran 25 %
 # slower, the threads waiting on each other for the interpreter lock.
 _BLOCK_ENTRIES = 32_768
-# Most threads one ``integrate_reaction`` call marches its blocks on; None is
-# one per CPU this process may run on. A Monte Carlo worker process sets 1,
-# because its sibling processes take the other CPUs.
-_march_threads: int | None = None
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or all CPUs where the platform has
+    no affinity mask (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def integrate_reaction(
@@ -421,32 +424,36 @@ def integrate_reaction(
     difference times speed / (2h). The rows do not couple, so the RK4 steps of
     ``integrate_ode`` march them a block of ``_BLOCK_ENTRIES`` state entries
     at a time, each block copied transposed (samples contiguous) so that its
-    state and stage buffers stay in cache for the whole window. The blocks
-    are marched on min(CPUs, blocks) threads, since numpy releases the
-    interpreter lock inside each array operation; the partition into blocks
-    does not depend on the thread count, and neither do the states. With
-    ``check``, raises ``IntegrationDiverged`` at the earliest step at which
-    any row is non-finite. Each block's states at each output go to
-    ``record(j, first, rows)``: each block reports its outputs in order, but
-    the blocks come in any order, from several threads at once. By default
-    they are written into the returned (n_output_times, K, M) array.
+    state and stage buffers stay in cache for the whole window. Without a
+    ``record``, the blocks are marched on min(CPUs, blocks) threads, since
+    numpy releases the interpreter lock inside each array operation; the
+    partition into blocks does not depend on the thread count, and neither
+    do the states. With ``check``, raises ``IntegrationDiverged`` at the
+    earliest step at which any row is non-finite. By default the states are
+    written into the returned (n_output_times, K, M) array. With a
+    ``record``, the blocks are marched one after another on the calling
+    thread, and each block's states at each output go to
+    ``record(j, first, rows)`` in row order.
     """
     initial = np.asarray(initial, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
     if initial.shape != (speeds.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
-    states, record = _recorder(window, initial.shape, record)
     size = max(1, _BLOCK_ENTRIES // grid.point_count)
+    firsts = range(0, speeds.size, size)
+    threads = 1 if record is not None else min(_cpu_count(), len(firsts))
+    states, record = _recorder(window, initial.shape, record)
     entries = min(size, speeds.size) * grid.point_count
     plan = _plan_march(window, step, entries)
     scaled = speeds / (2.0 * grid.spacing)
-    firsts = range(0, speeds.size, size)
-    threads = min(_march_threads or len(os.sched_getaffinity(0)), len(firsts))
     # one workspace per thread, allocated here: buffers that a pool thread
     # allocates stay in that thread's malloc arena and raise the peak memory.
     # At most ``threads`` blocks are marched at once, so one is always free.
     workspaces = [np.empty(7 * entries) for _ in range(threads)]
+    # the caller's floating-point error handling (np.errstate), which a pool
+    # thread does not inherit
+    errors = np.geterr()
 
     def march(first: int) -> IntegrationDiverged | None:
         speed = scaled[first:first + size]
@@ -465,7 +472,8 @@ def integrate_reaction(
                 record(j, first, rows.T)
 
             np.copyto(state, initial[first:first + size].T)
-            _march(rhs, state, stages, window.start, plan, check, block_record)
+            with np.errstate(**errors):
+                _march(rhs, state, stages, window.start, plan, check, block_record)
         except IntegrationDiverged as exc:
             return exc
         finally:
@@ -475,12 +483,8 @@ def integrate_reaction(
     if threads > 1:
         # loaded on first use, as montecarlo loads its process pool
         from concurrent.futures import ThreadPoolExecutor
-        # each block runs in a copy of this thread's context, which holds
-        # numpy's floating-point error handling (np.errstate)
-        contexts = [contextvars.copy_context() for _ in firsts]
         with ThreadPoolExecutor(threads) as pool:
-            outcomes = list(pool.map(lambda context, first: context.run(march, first),
-                                     contexts, firsts))
+            outcomes = list(pool.map(march, firsts))
     else:
         outcomes = list(map(march, firsts))
     diverged = [exc for exc in outcomes if exc is not None]
@@ -505,14 +509,14 @@ def solve_ensemble(
     The samples do not couple, so the stacked RK4 solve performs exactly the
     per-sample arithmetic: through ``integrate_advection`` for the wave
     problem, and through ``integrate_reaction``, which marches the samples in
-    cache-sized blocks held sample-major, on several threads, for the
-    advection-reaction problem. ``initial`` is either one state of length M
-    (shared by all samples) or an array of shape (K, M). The step (by default
-    ``default_step``) is fitted to the output times before the CFL bound is
-    checked against it. Returns (n_output_times, K, M), or hands the states
+    cache-sized blocks held sample-major, on several threads without a
+    ``record``, for the advection-reaction problem. ``initial`` is either one
+    state of length M (shared by all samples) or an array of shape (K, M).
+    The step (by default ``default_step``) is fitted to the output times
+    before the CFL bound is checked against it. Returns (n_output_times, K, M), or hands the states
     to ``record`` as the kernels describe: all rows at once on the wave, and
-    block by block, the blocks in any order and from several threads at once,
-    on the advection-reaction problem.
+    block by block in row order, on one thread, on the advection-reaction
+    problem.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     initial = np.asarray(initial, dtype=float)

@@ -1,6 +1,4 @@
-import concurrent.futures
 import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -177,6 +175,21 @@ class TestWorkerProcesses:
                                           getattr(results[2], name))
         assert results[1].sample_count == results[2].sample_count == 700
 
+    def test_single_chunk_bit_identical_on_one_and_two_cpus(self, advection_reaction,
+                                                            monkeypatch):
+        # one chunk in this process: at M = 32 its 2,500 samples are 3 blocks
+        config = McConfig(problem=advection_reaction, grid=SpatialGrid(32),
+                          window=TimeWindow.with_uniform_outputs(0.0, 0.5, 3),
+                          sample_count=2500, seed=5, step=1e-2)
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            results[cpus] = mc_statistics(config)
+        assert results[1].workers == results[2].workers == 1
+        for name in ("mean", "mean_square", "stderr_mean", "stderr_mean_square"):
+            np.testing.assert_array_equal(getattr(results[1], name),
+                                          getattr(results[2], name))
+
     @pytest.mark.parametrize("kind", ["Wave", "AdvectionReaction"])
     def test_nan_sample_left_out_of_every_row(self, kind, monkeypatch):
         # a NaN speed leaves t = 0 finite and every later output non-finite
@@ -196,91 +209,6 @@ class TestWorkerProcesses:
         for name in ("mean", "mean_square", "stderr_mean", "stderr_mean_square"):
             np.testing.assert_allclose(getattr(dropped, name), getattr(clean, name),
                                        rtol=0, atol=1e-13)
-
-
-class TestThreadedBlocks:
-    def test_reducer_folds_blocks_in_row_order(self):
-        rng = np.random.default_rng(9)
-        shape, firsts, counts = (3, 16), (0, 5, 10, 15), (5, 5, 5, 2)
-        rows = {(j, first): 1e3 + rng.normal(size=(count, shape[1]))
-                for j in range(shape[0]) for first, count in zip(firsts, counts)}
-        in_order = montecarlo._ChunkReducer(sum(counts), shape)
-        for first in firsts:
-            for j in range(shape[0]):
-                in_order(j, first, rows[j, first])
-        calls = list(rows)
-        rng.shuffle(calls)
-        shuffled = montecarlo._ChunkReducer(sum(counts), shape)
-        for j, first in calls:
-            shuffled(j, first, rows[j, first])
-        np.testing.assert_array_equal(shuffled.mean, in_order.mean)
-        np.testing.assert_array_equal(shuffled.m2, in_order.m2)
-        assert shuffled.folded == in_order.folded == [sum(counts)] * shape[0]
-        values = np.stack([np.concatenate([rows[j, first] for first in firsts])
-                           for j in range(shape[0])])
-        np.testing.assert_allclose(in_order.mean[0], values.mean(axis=1), rtol=1e-14)
-
-    def test_moments_bit_identical_on_one_and_two_threads(self, advection_reaction,
-                                                          monkeypatch):
-        # one chunk in this process: at M = 32 its 2,500 samples are 3 blocks
-        config = McConfig(problem=advection_reaction, grid=SpatialGrid(32),
-                          window=TimeWindow.with_uniform_outputs(0.0, 0.5, 3),
-                          sample_count=2500, seed=5, step=1e-2)
-        results = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            results[cpus] = mc_statistics(config)
-        assert results[1].workers == results[2].workers == 1
-        for name in ("mean", "mean_square", "stderr_mean", "stderr_mean_square"):
-            np.testing.assert_array_equal(getattr(results[1], name),
-                                          getattr(results[2], name))
-
-    def test_many_threads_switching_often(self, advection_reaction, monkeypatch):
-        # eight threads on at most two cores, switching every microsecond: a
-        # lost update of the reducer, or a workspace shared by two blocks at
-        # once, would change the moments or the states
-        grid = SpatialGrid(16)
-        xi = np.random.default_rng(2).uniform(-1.0, 1.0, 10 * 2048 + 5)
-        u0 = advection_reaction.initial_condition(grid.points)
-        window = TimeWindow.with_uniform_outputs(0.0, 0.1, 4)
-        results = {}
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for cpus in (1, 8):
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-                reducer = montecarlo._ChunkReducer(xi.size, (4, 16))
-                solve_ensemble(advection_reaction, xi, u0, window, grid, 1e-2,
-                               record=reducer)
-                states = solve_ensemble(advection_reaction, xi, u0, window, grid, 1e-2)
-                results[cpus] = reducer, states
-        finally:
-            sys.setswitchinterval(interval)
-        (one, states_one), (eight, states_eight) = results[1], results[8]
-        np.testing.assert_array_equal(states_eight, states_one)
-        np.testing.assert_array_equal(eight.mean, one.mean)
-        np.testing.assert_array_equal(eight.m2, one.m2)
-        assert eight.folded == one.folded == [xi.size] * 4
-
-    def test_forked_worker_marches_on_one_thread(self, advection_reaction, monkeypatch):
-        # two chunks of 3 blocks each on two worker processes; a thread pool
-        # started anywhere raises, and the forked workers inherit that
-        class NoThreadPool:
-            def __init__(self, *args, **kwargs):
-                raise RuntimeError("a thread pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoThreadPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        grid = SpatialGrid(32)
-        window = TimeWindow.with_uniform_outputs(0.0, 0.2, 3)
-        with pytest.raises(RuntimeError, match="thread pool"):
-            solve_ensemble(advection_reaction, np.zeros(2100),
-                           advection_reaction.initial_condition(grid.points), window,
-                           grid, 1e-2)
-        result = mc_statistics(McConfig(problem=advection_reaction, grid=grid,
-                                        window=window, sample_count=4200, seed=1,
-                                        step=1e-2, chunk_size=2100))
-        assert result.workers == 2 and result.sample_count == 4200
 
 
 class TestMemory:

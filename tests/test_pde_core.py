@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -466,8 +467,9 @@ class TestIntegrateReaction:
                                      np.array([-1.0, 0.2, 0.9]), initial, window, grid, 1e-2)
         np.testing.assert_array_equal(states[0], initial)
 
-    def test_block_record_gets_each_block_in_output_order(self, advection_reaction,
-                                                         monkeypatch):
+    def test_block_record_gets_rows_in_row_order(self, advection_reaction, monkeypatch):
+        # on 2 CPUs: the default march takes two threads, a record only the caller's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         grid = SpatialGrid(64)
         block = samples_per_block(grid)
         rng = np.random.default_rng(6)
@@ -475,20 +477,17 @@ class TestIntegrateReaction:
         initial = 1.5 + rng.uniform(-1.0, 1.0, (speeds.size, 64))
         window = TimeWindow.with_uniform_outputs(0.0, 0.2, 3)
         states = integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2)
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            calls = []
-            integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2,
-                               record=lambda j, first, rows: calls.append(
-                                   (j, first, rows.copy())))
-            # the blocks may interleave, but each reports its outputs in order
-            for first in (0, block, 2 * block):
-                assert [j for j, f, _ in calls if f == first] == [0, 1, 2]
-            assert sorted((j, first, rows.shape) for j, first, rows in calls) == sorted(
-                (j, first, (count, 64)) for j in range(3)
-                for first, count in ((0, block), (block, block), (2 * block, 3)))
-            for j, first, rows in calls:
-                np.testing.assert_array_equal(rows, states[j, first:first + len(rows)])
+        calls = []
+        integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2,
+                           record=lambda j, first, rows: calls.append(
+                               (j, first, rows.copy(), threading.get_ident())))
+        assert [(j, first, rows.shape) for j, first, rows, _ in calls] == [
+            (j, first, (count, 64))
+            for first, count in ((0, block), (block, block), (2 * block, 3))
+            for j in range(3)]
+        assert {thread for *_, thread in calls} == {threading.get_ident()}
+        for j, first, rows, _ in calls:
+            np.testing.assert_array_equal(rows, states[j, first:first + len(rows)])
 
     def test_divergence_time_is_the_earliest_over_all_blocks(self, monkeypatch):
         # cubic growth blows up from amplitude a at about t = 1/(2a^2); rows
@@ -523,6 +522,19 @@ class TestIntegrateReaction:
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             assert time_of(integrate_reaction, speeds, initial) == marched
+
+    def test_march_without_an_affinity_mask(self, advection_reaction, monkeypatch):
+        # where the platform has none (macOS, Windows), every CPU counts
+        grid = SpatialGrid(64)
+        speeds = np.random.default_rng(8).uniform(-1.0, 1.0, 2 * samples_per_block(grid))
+        u0 = advection_reaction.initial_condition(grid.points)
+        window = TimeWindow.with_uniform_outputs(0.0, 0.2, 3)
+        states = solve_ensemble(advection_reaction, speeds, u0, window, grid, 1e-2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert pde_core._cpu_count() == 2
+        np.testing.assert_array_equal(
+            solve_ensemble(advection_reaction, speeds, u0, window, grid, 1e-2), states)
 
 
 class TestSolveFixedXi:
