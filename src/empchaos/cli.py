@@ -6,12 +6,11 @@ over a set of final times, and compares statistic time series between runs.
 
 Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
 config file or series CSV, or input the solver rejects (such as a step that
-breaks the CFL bound, output times with no common step, or a step so small
-that a march would exceed ``pde_core.STEP_ENTRY_LIMIT``), 2 solver
-divergence, an ill-conditioned basis, a failed basis evolution (a Gram block
-that is singular or not positive definite) or a Monte Carlo worker process
-that died, 3 comparison failure. scaling-study exits 1 and 2 on the same
-errors, without a manifest.
+breaks the CFL bound, or a step so small that a march would exceed
+``pde_core.STEP_ENTRY_LIMIT``), 2 solver divergence, an ill-conditioned
+basis, a failed basis evolution (a Gram block that is singular or not
+positive definite) or a Monte Carlo worker process that died, 3 comparison
+failure. scaling-study exits 1 and 2 on the same errors, without a manifest.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ EXIT_VALIDATION = 1
 EXIT_DIVERGED = 2
 EXIT_COMPARISON = 3
 # what a solve may raise on input it rejects (a ValueError, such as a step
-# that breaks the CFL bound or output times no one step can land on) or on
-# failing; _report_failure prints each and gives its exit code
+# that breaks the CFL bound) or on failing; _report_failure prints each and
+# gives its exit code
 _SOLVE_ERRORS = (IntegrationDiverged, IllConditionedBasis, SingularBlock,
                  BrokenExecutor, ValueError)
 

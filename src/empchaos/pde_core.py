@@ -3,18 +3,20 @@
 Both problems live on a periodic uniform grid over [0, 2*pi). The advection
 speed is the random variable, so for a fixed sample the PDE is deterministic
 and is integrated with classical fixed-step RK4. Both RK4 kernels fit the
-requested step to the window's output times through one planner, which
-shrinks it until each output lands on a step boundary. ``integrate_ode`` is
-the one marched RK4, run in place in preallocated stage buffers: the
-advection-reaction ensemble, the Galerkin reaction system and gPC all march
-through its steps. The ensemble is marched in cache-sized blocks of samples,
-each held sample-major, on one thread per CPU. The wave operator is linear
-and its central difference is circulant, so its RK4 steps are applied in
-Fourier space: each mode is multiplied by a power of the RK4 stability
-polynomial, which gives the marched solution without the march. Both kernels
-hand the states at each output time to a ``record`` callable, in row order,
-so a caller can reduce them as they come instead of holding every output;
-an ensemble with a ``record`` is marched on one thread.
+requested step to the window's output times through one planner: each run
+of evenly spaced outputs gets its own step, the longest that cuts each gap
+into equal steps no longer than the requested one, so any increasing output
+times can be reached. ``integrate_ode`` is the one marched RK4, run in place
+in preallocated stage buffers: the advection-reaction ensemble, the Galerkin
+reaction system and gPC all march through its steps. The ensemble is marched
+in cache-sized blocks of samples, each held sample-major, on one thread per
+CPU. The wave operator is linear and its central difference is circulant, so
+its RK4 steps are applied in Fourier space: each mode is multiplied by a
+power of the RK4 stability polynomial, which gives the marched solution
+without the march. The two ensemble kernels hand the states at each output
+time to a ``record`` callable, in row order, so a caller can reduce them as
+they come instead of holding every output; an ensemble with a ``record`` is
+marched on one thread.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -192,46 +193,39 @@ def default_step(grid: SpatialGrid) -> float:
     return min(1e-2, 0.5 * grid.spacing)
 
 
-def _plan_steps(window: TimeWindow, step: float) -> tuple[float, int, dict[int, int]]:
+def _plan_steps(window: TimeWindow, step: float) -> list[tuple[float, int]]:
     """Fit the step to the window's output times.
 
-    The window is cut into the fewest equal cells whose boundaries hold every
-    output time, and each cell into the fewest equal steps no longer than
-    ``step``. A cell is never shorter than both ``step`` and the smallest gap
-    between consecutive instants of (start, *output_times, end). Returns
-    (step, step count, {step index: output index}); an output that then
-    misses a step boundary (as in a ragged last window with no common step
-    that long) or shares one with the output before it, or a step count that
-    overflows to infinity, is a ValueError.
+    Consecutive instants of (start, *output_times) that lie on one uniform
+    grid form a run: each lies within tol / 2 of the grid of the run's first
+    gap, and so within tol of the grid of its ends. Each run is cut into the
+    fewest equal steps per gap no longer than ``step``. Returns one (dt, n)
+    per output: march n steps of dt from the output before it (from the
+    start for output 0), then record it; an output at the start is (0.0, 0).
+    A step too small to count the steps is a ValueError.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    length = window.length
-    if not math.isfinite(length / step):
+    if not math.isfinite(window.length / step):
         raise ValueError(f"step {step} is too small to count the steps")
-    tol = 1e-8 * max(1.0, length)
-    gaps = np.diff((window.start, *window.output_times, window.end))
-    limit = max(int(np.ceil(length / step - 1e-12)),
-                int(round(length / np.min(gaps[gaps > tol], initial=length))))
-    cells = 1
-    for t_out in window.output_times:
-        # the cells are the least common denominator of the outputs' fractions
-        # of the window; an output already on a cell boundary adds nothing
-        position = (t_out - window.start) / length
-        if abs(position * cells - round(position * cells)) * length / cells > tol:
-            fraction = Fraction(position).limit_denominator(limit)
-            cells = min(math.lcm(cells, fraction.denominator), limit)
-    n_steps = cells * max(1, int(np.ceil(length / cells / step - 1e-12)))
-    actual = length / n_steps
-    outputs = {}
-    for j, t_out in enumerate(window.output_times):
-        k = int(round((t_out - window.start) / actual))
-        if abs(window.start + k * actual - t_out) > tol or k in outputs:
-            raise ValueError(
-                f"output time {t_out} does not land on a step boundary (step {actual})"
-            )
-        outputs[k] = j
-    return actual, n_steps, outputs
+    tol = 1e-8 * max(1.0, window.length)
+    times = np.array(window.output_times)
+    plan = []
+    if times[0] - window.start <= tol:
+        plan.append((0.0, 0))
+    else:
+        times = np.insert(times, 0, window.start)
+    first = 0
+    while first < len(times) - 1:
+        # the run ends before the first instant off the grid of its first gap
+        offsets = times[first:] - times[first]
+        off_grid = np.abs(offsets - offsets[1] * np.arange(len(offsets))) > tol / 2
+        cells = int(np.argmax(np.append(off_grid, True))) - 1
+        span = offsets[cells]
+        per_cell = max(1, int(np.ceil(span / cells / step - 1e-12)))
+        plan += [(span / (cells * per_cell), per_cell)] * cells
+        first += cells
+    return plan
 
 
 # record(j, first, rows): rows[i] is the state of row first + i at output j
@@ -262,14 +256,15 @@ STEP_ENTRY_LIMIT = 10**10
 
 
 def _plan_march(window: TimeWindow, step: float,
-                entries: int) -> tuple[float, int, dict[int, int]]:
+                entries: int) -> list[tuple[float, int]]:
     """``_plan_steps``, rejecting a plan of more than ``STEP_ENTRY_LIMIT``
     steps times ``entries`` state entries as a ValueError."""
-    actual, n_steps, outputs = _plan_steps(window, step)
+    plan = _plan_steps(window, step)
+    n_steps = sum(n for _, n in plan)
     if n_steps * entries > STEP_ENTRY_LIMIT:
         raise ValueError(f"{n_steps} steps of {entries} state entries exceed the "
                          f"limit of {STEP_ENTRY_LIMIT:.0e}; increase the step")
-    return actual, n_steps, outputs
+    return plan
 
 
 def integrate_ode(
@@ -277,62 +272,58 @@ def integrate_ode(
     initial: np.ndarray,
     window: TimeWindow,
     step: float,
-    check: bool = True,
-    record: Record | None = None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Classical fixed-step RK4 over the window for u' = rhs(u).
 
     ``rhs(u, out)`` writes the right-hand side at ``u`` into ``out``. The
     state (a C-ordered copy of ``initial``), the four stages and the stage
     argument are preallocated, and every step runs in them in place, ending
-    in state + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4). The step is fitted to
-    the output times by ``_plan_steps``, and the step-0 output is the initial
-    state itself. A plan of more than ``STEP_ENTRY_LIMIT`` steps times state
-    entries is a ValueError, raised before the march. With ``check``, raises
-    ``IntegrationDiverged`` at the first step with a non-finite entry. The
-    state at each output goes to ``record(j, 0, state)``; by default it is
-    written into the returned (n_output_times,) + initial.shape array.
+    in state + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4). The steps are fitted to
+    the output times by ``_plan_steps``, and an output at the start is the
+    initial state itself. A plan of more than ``STEP_ENTRY_LIMIT`` steps
+    times state entries is a ValueError, raised before the march. Raises
+    ``IntegrationDiverged`` at the first step with a non-finite entry, at
+    the output time before it plus k dt. Returns the states at the output
+    times, an (n_output_times,) + initial.shape array.
     """
     state = np.array(initial, dtype=float, order="C")
     plan = _plan_march(window, step, state.size)
-    out, record = _recorder(window, state.shape, record)
-    _march(rhs, state, np.empty((5,) + state.shape), window.start, plan, check, record)
+    out, record = _recorder(window, state.shape, None)
+    _march(rhs, state, np.empty((5,) + state.shape), window, plan, True, record)
     return out
 
 
 def _march(rhs: Callable[[np.ndarray, np.ndarray], None], state: np.ndarray,
-           stages: np.ndarray, start: float, plan: tuple[float, int, dict[int, int]],
+           stages: np.ndarray, window: TimeWindow, plan: list[tuple[float, int]],
            check: bool, record: Record) -> None:
     """The RK4 steps of ``integrate_ode``, run on ``plan`` in place in
     ``state`` and the five ``stages`` buffers of its shape (k1 to k4 and the
-    stage argument)."""
-    actual, n_steps, outputs = plan
+    stage argument): n steps of dt, then output j, for each (dt, n) of the
+    plan."""
     k1, k2, k3, k4, stage = stages
-    half, sixth = 0.5 * actual, actual / 6.0
-    if 0 in outputs:
-        record(outputs[0], 0, state)
-    for k in range(1, n_steps + 1):
-        rhs(state, k1)
-        np.multiply(k1, half, out=stage)
-        stage += state
-        rhs(stage, k2)
-        np.multiply(k2, half, out=stage)
-        stage += state
-        rhs(stage, k3)
-        np.multiply(k3, actual, out=stage)
-        stage += state
-        rhs(stage, k4)
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= sixth
-        state += k2
-        if check and not np.isfinite(state).all():
-            raise IntegrationDiverged(start + k * actual)
-        if k in outputs:
-            record(outputs[k], 0, state)
+    for j, (before, (dt, n)) in enumerate(zip((window.start, *window.output_times), plan)):
+        half, sixth = 0.5 * dt, dt / 6.0
+        for k in range(1, n + 1):
+            rhs(state, k1)
+            np.multiply(k1, half, out=stage)
+            stage += state
+            rhs(stage, k2)
+            np.multiply(k2, half, out=stage)
+            stage += state
+            rhs(stage, k3)
+            np.multiply(k3, dt, out=stage)
+            stage += state
+            rhs(stage, k4)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= sixth
+            state += k2
+            if check and not np.isfinite(state).all():
+                raise IntegrationDiverged(before + k * dt)
+        record(j, 0, state)
 
 
 def integrate_advection(
@@ -352,39 +343,39 @@ def integrate_advection(
     rows. In Fourier mode k, D is multiplication by i*sin(k*h)/h, so in the
     eigenvector coordinates one RK4 step multiplies each entry by the
     stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
-    z = i*speed*step*sin(k*h)/h, and n steps by R(z)^n. The step is planned
-    as in ``integrate_ode``, and the step-0 output is the initial state
-    itself. Each output's rows go to ``record(j, 0, rows)``; by default they
-    are written into the returned (n_output_times, K, M) array.
+    z = i*speed*dt*sin(k*h)/h, and n steps by R(z)^n; one power is computed
+    per distinct (dt, n) of the plan. The steps are planned as in
+    ``integrate_ode``, and an output at the start is the initial state
+    itself. With ``check``, a non-finite output raises ``IntegrationDiverged``
+    at its output time. Each output's rows go to ``record(j, 0, rows)``; by
+    default they are written into the returned (n_output_times, K, M) array.
     """
     state = np.array(initial, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
     if state.shape != (speeds.size, grid.point_count):
         raise ValueError(f"initial has shape {state.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
-    actual, _, outputs = _plan_steps(window, step)
+    plan = _plan_steps(window, step)
     out, record = _recorder(window, state.shape, record)
     modes = np.arange(grid.point_count // 2 + 1)
-    z = 1j * actual * np.multiply.outer(speeds, np.sin(modes * grid.spacing) / grid.spacing)
-    growth = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    rates = np.multiply.outer(speeds, np.sin(modes * grid.spacing) / grid.spacing)
     powers = {}
     spectrum = np.fft.rfft(state, axis=-1)
     if eigenvectors is not None:
         vecs, inv_vecs = eigenvectors
         spectrum = inv_vecs @ spectrum
-    done = 0
-    for k, j in outputs.items():
-        if k == 0:
+    for j, (dt, n) in enumerate(plan):
+        if n == 0:
             record(j, 0, state)
             continue
-        if k - done not in powers:
-            powers[k - done] = growth ** (k - done)
-        spectrum *= powers[k - done]
-        done = k
+        if (dt, n) not in powers:
+            z = 1j * dt * rates
+            powers[dt, n] = (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) ** n
+        spectrum *= powers[dt, n]
         mixed = spectrum if eigenvectors is None else vecs @ spectrum
         rows = np.fft.irfft(mixed, n=grid.point_count, axis=-1)
         if check and not np.all(np.isfinite(rows)):
-            raise IntegrationDiverged(window.start + k * actual)
+            raise IntegrationDiverged(window.output_times[j])
         record(j, 0, rows)
     return out
 
@@ -473,7 +464,7 @@ def integrate_reaction(
 
             np.copyto(state, initial[first:first + size].T)
             with np.errstate(**errors):
-                _march(rhs, state, stages, window.start, plan, check, block_record)
+                _march(rhs, state, stages, window, plan, check, block_record)
         except IntegrationDiverged as exc:
             return exc
         finally:
@@ -508,15 +499,16 @@ def solve_ensemble(
 
     The samples do not couple, so the stacked RK4 solve performs exactly the
     per-sample arithmetic: through ``integrate_advection`` for the wave
-    problem, and through ``integrate_reaction``, which marches the samples in
-    cache-sized blocks held sample-major, on several threads without a
-    ``record``, for the advection-reaction problem. ``initial`` is either one
-    state of length M (shared by all samples) or an array of shape (K, M).
-    The step (by default ``default_step``) is fitted to the output times
-    before the CFL bound is checked against it. Returns (n_output_times, K, M), or hands the states
-    to ``record`` as the kernels describe: all rows at once on the wave, and
-    block by block in row order, on one thread, on the advection-reaction
-    problem.
+    problem, and through ``integrate_reaction``, which marches the samples
+    in cache-sized blocks held sample-major, on several threads without a
+    ``record``, for the advection-reaction problem. ``initial`` is either
+    one state of length M (shared by all samples) or an array of shape
+    (K, M). The step (by default ``default_step``) is fitted to the output
+    times, and the CFL bound is checked against the longest step of the
+    plan; the kernels plan the same steps from the same ``step``. Returns
+    (n_output_times, K, M), or hands the states to ``record`` as the
+    kernels describe: all rows at once on the wave, and block by block in
+    row order, on one thread, on the advection-reaction problem.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     initial = np.asarray(initial, dtype=float)
@@ -524,11 +516,11 @@ def solve_ensemble(
         initial = np.broadcast_to(initial, (xis.size, initial.size)).copy()
     if initial.shape != (xis.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected ({xis.size}, {grid.point_count})")
-    # the kernels plan the same step again; a planned step plans to itself
-    step = _plan_steps(window, default_step(grid) if step is None else step)[0]
+    step = default_step(grid) if step is None else step
+    longest = max(dt for dt, _ in _plan_steps(window, step))
     # a non-finite sample (kept by Monte Carlo, excluded later) sets no bound
     speed = np.max(np.abs(xis), initial=0.0, where=np.isfinite(xis))
-    cfl = float(speed) * step / grid.spacing
+    cfl = float(speed) * longest / grid.spacing
     if cfl > 0.5 + 1e-12:
         raise ValueError(f"CFL number {cfl:.3f} exceeds 1/2; reduce the step")
     if not problem.has_reaction:

@@ -520,14 +520,20 @@ class TestRunCommand:
         assert times[-2:] == pytest.approx([10.27, 10.3])
 
     def test_ragged_last_window_has_no_common_step(self, tmp_path):
-        # outputs 0.1 apart, then 0.037 apart in [10, 10.37]: the common
-        # step 0.001 is finer than the 0.01 default and every gap
-        code = cli.main(["run", "--solver", "gpc", "--grid-size", "32", "--order", "4",
-                         "--t-final", "10.37", "--output-dir", str(tmp_path)])
-        assert code == 1
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["status"] == "invalid-input"
-        assert "step boundary" in manifest["error"]
+        # outputs 0.1 apart, then 0.037 apart in [10, 10.37]: no step fits both
+        # gaps, so each run of outputs gets its own, and the reference solvers
+        # report at the empirical solver's output times
+        def times(solver):
+            out = tmp_path / solver
+            assert cli.main(["run", "--solver", solver, "--grid-size", "32", "--order", "4",
+                             "--node-count", "40", "--sample-count", "50",
+                             "--t-final", "10.37", "--output-dir", str(out)]) == 0
+            return read_csv(out / "mean_square.csv")[1][0]
+
+        empirical = times("empirical")
+        assert empirical[-2:] == pytest.approx([10.333, 10.37])
+        for solver in ("gpc", "mc"):
+            np.testing.assert_array_equal(times(solver), empirical)
 
 
 class TestBlasThreads:

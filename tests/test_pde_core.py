@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empchaos import pde_core
@@ -107,20 +107,18 @@ def textbook_rk4(rhs, initial, window, step):
     place: the reference march, for an autonomous ``rhs(u)`` that returns
     du/dt, on the step plan of ``integrate_ode``."""
     state = np.array(initial, dtype=float)
-    actual, n_steps, outputs = pde_core._plan_steps(window, step)
+    plan = pde_core._plan_steps(window, step)
     out = np.empty((len(window.output_times),) + state.shape)
-    if 0 in outputs:
-        out[outputs[0]] = state
-    for k in range(1, n_steps + 1):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * actual * k1)
-        k3 = rhs(state + 0.5 * actual * k2)
-        k4 = rhs(state + actual * k3)
-        state = state + (actual / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationDiverged(window.start + k * actual)
-        if k in outputs:
-            out[outputs[k]] = state
+    for j, (before, (dt, n)) in enumerate(zip((window.start, *window.output_times), plan)):
+        for k in range(1, n + 1):
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * dt * k1)
+            k3 = rhs(state + 0.5 * dt * k2)
+            k4 = rhs(state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(state)):
+                raise IntegrationDiverged(before + k * dt)
+        out[j] = state
     return out
 
 
@@ -151,30 +149,44 @@ class TestIntegrateOde:
         assert states[-1, 0] == pytest.approx((np.sqrt(c) + 0.05 * 2.0) ** 2, abs=1e-8)
 
     def test_divergence_reports_time(self):
-        # u' = u^3 from u(0)=1 blows up at t = 0.5
-        window = TimeWindow(0.0, 1.0)
+        # u' = u^3 from u(0)=1 blows up at t = 0.5, after the 0.25 output:
+        # the time counts the steps from that output
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 5)
         with pytest.raises(IntegrationDiverged) as info, np.errstate(over="ignore"):
             integrate_ode(lambda u, out: np.power(u, 3, out=out), np.array([1.0]),
                           window, 1e-3)
-        assert 0.0 < info.value.time <= 1.0
+        assert 0.5 < info.value.time <= 0.51
 
     def test_output_time_off_step_boundary(self):
+        # 0.333 is off the 0.25 grid: 2 steps of 0.1665 reach it, then 3 of 0.667 / 3
         window = TimeWindow(0.0, 1.0, (0.0, 0.333, 1.0))
-        with pytest.raises(ValueError):
-            integrate_ode(lambda u, out: np.multiply(u, 0.0, out=out),
-                          np.array([1.0]), window, 0.25)
+        assert pde_core._plan_steps(window, 0.25) == [(0.0, 0), (0.333 / 2, 2),
+                                                      ((1.0 - 0.333) / 3, 3)]
+
+        def rhs(u):
+            return -u
+        states = integrate_ode(in_place(rhs), np.array([1.0]), window, 0.25)
+        np.testing.assert_array_equal(states,
+                                      textbook_rk4(rhs, np.array([1.0]), window, 0.25))
+        np.testing.assert_allclose(states[:, 0], np.exp(-np.array(window.output_times)),
+                                   rtol=1e-3)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             integrate_ode(lambda u, out: np.copyto(out, u), np.array([1.0]),
                           TimeWindow(0.0, 1.0), 0.0)
 
-    def test_outputs_sharing_a_step_rejected(self):
-        # 1e-9 apart: within the landing tolerance of the same step
+    def test_outputs_closer_than_the_tolerance_get_a_step_each(self):
+        # 1e-9 apart, within the planner's 1e-8 tolerance: still one step apart
         window = TimeWindow(0.0, 1.0, (0.0, 1e-9, 1.0))
-        with pytest.raises(ValueError, match="step boundary"):
-            integrate_ode(lambda u, out: np.multiply(u, 0.0, out=out),
-                          np.array([1.0]), window, 0.01)
+        assert pde_core._plan_steps(window, 0.01) == [(0.0, 0), (1e-9, 1),
+                                                      ((1.0 - 1e-9) / 100, 100)]
+
+        def rhs(u):
+            return 0.1 * np.sqrt(np.abs(u)) - 0.3 * u
+        np.testing.assert_array_equal(
+            integrate_ode(in_place(rhs), np.array([2.5]), window, 0.01),
+            textbook_rk4(rhs, np.array([2.5]), window, 0.01))
 
     def test_step_entry_limit_checked_before_the_march(self):
         class Marched(Exception):
@@ -213,38 +225,63 @@ class TestIntegrateOde:
             textbook_rk4(rhs, initial, window, 1e-2))
 
 
+def landed(window, plan):
+    """The times the plan reaches: each output's steps taken from the one
+    before it."""
+    return window.start + np.cumsum([n * dt for dt, n in plan])
+
+
 class TestPlanSteps:
     @given(start=st.floats(0.0, 400.0), length=st.floats(0.01, 10.0),
            count=st.integers(2, 51), step=st.floats(1e-3, 2.0))
     @settings(max_examples=300, deadline=None)
     def test_uniform_outputs(self, start, length, count, step):
         window = TimeWindow.with_uniform_outputs(start, start + length, count)
-        actual, n_steps, outputs = pde_core._plan_steps(window, step)
+        plan = pde_core._plan_steps(window, step)
         cells, span = count - 1, window.length
         per_cell = int(np.ceil(span / cells / step - 1e-12))
-        assert actual == span / (cells * per_cell)
-        assert n_steps == cells * per_cell
+        # a uniform window is one run: the steps of uniform CLI runs stay bit-identical
+        assert plan == [(0.0, 0)] + [(span / (cells * per_cell), per_cell)] * cells
         # the step count is rounded down by at most 1e-12
-        assert actual <= step * (1.0 + 1e-12)
-        assert outputs == {j * per_cell: j for j in range(count)}
-        landed = window.start + actual * np.array(list(outputs))
-        assert np.all(np.abs(landed - window.output_times) <= 1e-8 * max(1.0, span))
-        assert pde_core._plan_steps(window, actual)[0] == actual
+        assert plan[1][0] <= step * (1.0 + 1e-12)
+        assert np.all(np.abs(landed(window, plan) - window.output_times)
+                      <= 1e-8 * max(1.0, span))
+
+    @given(start=st.floats(0.0, 400.0), at_start=st.booleans(),
+           gaps=st.lists(st.one_of(st.floats(1e-4, 3.0),
+                                   st.sampled_from([0.1, 0.037, 0.25, 1.0 / 3.0])),
+                         min_size=1, max_size=30),
+           tail=st.floats(0.0, 1.0), step=st.floats(1e-3, 2.0))
+    # 2.9e-8 off the unit grid, under the tolerance of 3e-8 but not under half
+    # of it: the grid of the run's ends would miss the output by 4.8e-8
+    @example(start=0.0, at_start=True, gaps=[1.0, 1.0 + 2.9e-8, 1.0 - 5.8e-8], tail=0.0,
+             step=0.1)
+    @settings(max_examples=300, deadline=None)
+    def test_any_increasing_outputs(self, start, at_start, gaps, tail, step):
+        times = start + np.cumsum(gaps)
+        if at_start:
+            times = np.insert(times, 0, start)
+        window = TimeWindow(start, times[-1] + tail, tuple(times))
+        plan = pde_core._plan_steps(window, step)
+        assert len(plan) == len(times)
+        assert all(dt <= step * (1.0 + 1e-12) for dt, _ in plan)
+        assert (plan[0] == (0.0, 0)) == at_start
+        assert all(n >= 1 for _, n in plan[1:])
+        assert np.all(np.abs(landed(window, plan) - times)
+                      <= 1e-8 * max(1.0, window.length))
 
     def test_mixed_spacing_uses_the_common_step(self):
-        # gaps 0.1 and 0.03 share 0.01, though 0.03 does not divide 0.26
+        # two runs, gaps 0.1 and then 0.03, each cut into steps of 0.01
         window = TimeWindow(0.0, 0.26, (0.0, 0.1, 0.2, 0.23, 0.26))
-        actual, n_steps, outputs = pde_core._plan_steps(window, 0.01)
-        assert (actual, n_steps) == (0.26 / 26, 26)
-        assert outputs == {0: 0, 10: 1, 20: 2, 23: 3, 26: 4}
-        assert pde_core._plan_steps(window, actual)[0] == actual
+        assert pde_core._plan_steps(window, 0.01) == (
+            [(0.0, 0)] + [(0.2 / 20, 10)] * 2 + [((0.26 - 0.2) / 6, 3)] * 2)
 
-    def test_common_step_finer_than_step_and_gaps_rejected(self):
-        # 0.1 and 0.037 share only 0.001
+    def test_ragged_tail_is_its_own_run(self):
+        # 0.1 and 0.037 share only 0.001: the 0.037 gap takes 4 steps of 0.00925
         window = TimeWindow(0.0, 0.237, (0.0, 0.1, 0.2, 0.237))
-        with pytest.raises(ValueError, match="step boundary"):
-            pde_core._plan_steps(window, 0.01)
-        assert pde_core._plan_steps(window, 0.001)[1] == 237
+        plan = pde_core._plan_steps(window, 0.01)
+        assert plan == [(0.0, 0)] + [(0.2 / 20, 10)] * 2 + [((0.237 - 0.2) / 4, 4)]
+        assert plan[-1][0] == pytest.approx(0.00925)
 
 
 def assert_matches_march(states, marched):
@@ -328,9 +365,21 @@ class TestIntegrateAdvection:
 
     def test_output_time_off_step_boundary(self):
         grid = SpatialGrid(32)
-        window = TimeWindow(0.0, 1.0, (0.0, 0.333, 1.0))
-        with pytest.raises(ValueError, match="step boundary"):
-            integrate_advection(np.array([0.5]), np.ones((1, 32)), window, grid, 0.25)
+        speeds = np.array([-0.3, 0.5])
+        initial = np.random.default_rng(5).normal(size=(2, 32))
+        for outputs, step in [
+            # 0.333 is off the 0.25 grid: two runs, of 2 and then 3 steps
+            ((0.0, 0.333, 1.0), 0.25),
+            # one step each, of 0.333 and then 0.667
+            ((0.0, 0.333, 1.0), 1.0),
+            # steps of 0.25 each, one per gap and then two
+            ((0.0, 0.25, 0.5, 1.0), 0.25),
+        ]:
+            window = TimeWindow(0.0, 1.0, outputs)
+            states = integrate_advection(speeds, initial, window, grid, step)
+            assert_matches_march(states, textbook_rk4(
+                lambda u: speeds[:, None] * spatial_derivative(u, grid), initial, window,
+                step))
 
 
 def old_reaction(problem, u):
