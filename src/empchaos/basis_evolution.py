@@ -69,28 +69,26 @@ def block_decompose(pair: SpatialGalerkinPair) -> list[tuple[int, int]]:
     Starting from the top-left corner, each block is grown while its leading
     principal submatrix stays below ``CONDITION_LIMIT``; the next block
     starts where the previous one closed. Every index lands in exactly one
-    block.
+    block. A zero diagonal entry is irreducible; any other block starts at
+    size 1, since a nonzero 1x1 block has condition number 1. A trial's
+    condition number is the ratio of its extreme singular values.
     """
     n = pair.size
     blocks: list[tuple[int, int]] = []
     start = 0
-    while start < n:
-        size = 0
-        for trial in range(1, n - start + 1):
-            sub = pair.gram[start:start + trial, start:start + trial]
-            cond = float(np.linalg.cond(sub))
-            if np.isfinite(cond) and cond < CONDITION_LIMIT:
-                size = trial
-            else:
-                break
-        if size == 0:
-            if abs(pair.gram[start, start]) == 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while start < n:
+            if pair.gram[start, start] == 0.0:
                 raise SingularBlock(f"zero diagonal entry at index {start}")
-            # a 1x1 block always has condition number 1; only an exactly zero
-            # diagonal is irreducible
             size = 1
-        blocks.append((start, start + size))
-        start += size
+            for trial in range(2, n - start + 1):
+                s = np.linalg.svd(pair.gram[start:start + trial, start:start + trial],
+                                  compute_uv=False)
+                if not s[0] / s[-1] < CONDITION_LIMIT:
+                    break
+                size = trial
+            blocks.append((start, start + size))
+            start += size
     return blocks
 
 

@@ -24,9 +24,9 @@ from .pde_core import (
     PdeProblem,
     SpatialGrid,
     TimeWindow,
+    _difference,
     integrate_advection,
     integrate_ode,
-    spatial_derivative,
 )
 from .pod import BasisSet
 
@@ -117,8 +117,9 @@ def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: Basis
     M) coefficients at ``window.output_times``.
 
     For the reaction problem every RK4 stage evaluates the reaction at node
-    values Psi[p] @ c and adds mass^-1 * Psi^T * W * lift times it, in
-    buffers allocated once per window. By default p is every node and lift
+    values Psi[p] @ c and adds mass^-1 * Psi^T * W * lift times it, in one
+    matmul of a pre-scaled operator per stage: the rhs that gPC also marches
+    (``_galerkin_rhs``). By default p is every node and lift
     the identity: the quadrature projection. ``interpolation = (points,
     lift)`` evaluates the reaction at those r points only, with lift =
     U * U[p]^-1 (K, r) the interpolant through them in a reaction basis U
@@ -139,9 +140,6 @@ def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: Basis
         matrices = assemble_matrices(basis)
 
     if problem.has_reaction:
-        # precompute the mass-solved operators once per window; each rhs call
-        # is then plain matrix arithmetic
-        solved_advection = matrices.solve(matrices.advection)
         weighted = (basis.rule.weights[:, None] * basis.values).T
         node_values = basis.values
         if interpolation is not None:
@@ -149,21 +147,35 @@ def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: Basis
             if lift.shape != (len(basis.rule), len(points)):
                 raise ValueError("lift must be (node count, point count)")
             node_values, weighted = node_values[points], weighted @ lift
-        solved_projector = matrices.solve(weighted)
-        derivative, projected = np.empty((2,) + coefficients.shape)
-        nodes = np.empty((node_values.shape[0], grid.point_count))
-
-        def rhs(coeffs, out):
-            np.matmul(solved_advection, spatial_derivative(coeffs, grid, out=derivative),
-                      out=out)
-            np.matmul(node_values, coeffs, out=nodes)
-            out += np.matmul(solved_projector, problem.reaction(nodes, out=nodes),
-                             out=projected)
-
+        rhs = _galerkin_rhs(problem, matrices.solve(matrices.advection), grid,
+                            node_values, matrices.solve(weighted))
         return integrate_ode(rhs, coefficients, window, step)
     lam, vecs = scipy.linalg.eigh(matrices.advection, matrices.mass)
     return integrate_advection(lam, coefficients, window, grid, step,
                                (vecs, vecs.T @ matrices.mass))
+
+
+def _galerkin_rhs(problem: PdeProblem, advection: np.ndarray, grid: SpatialGrid,
+                  node_values: np.ndarray, projector: np.ndarray):
+    """The rhs(c, out) of c' = A D(c) + P reaction(Psi c), D the central
+    difference: one matmul of the operator [A / (2h) | P] (A / (2h) without a
+    reaction) with the raw difference and the reaction stacked in one buffer,
+    both operator and buffer allocated here, once."""
+    operator = advection / (2.0 * grid.spacing)
+    if problem.has_reaction:
+        operator = np.hstack([operator, projector])
+    stacked = np.empty((operator.shape[1], grid.point_count))
+    difference, nodes = np.split(stacked, [len(advection)])
+
+    def rhs(coeffs, out):
+        _difference(coeffs, difference)
+        problem.reaction(np.matmul(node_values, coeffs, out=nodes), out=nodes)
+        np.matmul(operator, stacked, out=out)
+
+    def advect(coeffs, out):
+        np.matmul(operator, _difference(coeffs, difference), out=out)
+
+    return rhs if problem.has_reaction else advect
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Generalized polynomial chaos reference solver with normalized Legendre bases.
 
 This path assumes exact orthonormality (mass = identity) and serves as the
-benchmark the empirical expansion is compared against. A solve returns the
+benchmark the empirical expansion is compared against. It is the Legendre
+case of the Galerkin core: it marches ``galerkin``'s one rhs, with the exact
+coupling matrix and the quadrature projector. A solve returns the
 (output time, order, grid size) array of Legendre coefficients, from which
 the statistics are read directly.
 """
@@ -12,13 +14,13 @@ import warnings
 
 import numpy as np
 
+from .galerkin import _galerkin_rhs
 from .pde_core import (
     PdeProblem,
     SpatialGrid,
     TimeWindow,
     default_step,
     integrate_ode,
-    spatial_derivative,
 )
 from .random_space import (
     QuadratureRule,
@@ -75,10 +77,11 @@ def solve_gpc(
 ) -> np.ndarray:
     """RK4 on the truncated gPC system with a deterministic initial condition.
 
-    The nonlinear reaction term is projected by quadrature at every rhs call.
-    The step defaults to ``default_step`` and is fitted to the output times.
-    Returns the (n_output_times, order, M) coefficients at
-    ``window.output_times``.
+    Each rhs call is one matmul of the pre-scaled operator [A / (2h) | L^T W]
+    (``galerkin._galerkin_rhs``), A the exact coupling and L the Legendre
+    table at the rule's nodes, which serve only the reaction. The step
+    defaults to ``default_step`` and is fitted to the output times. Returns
+    the (n_output_times, order, M) coefficients at ``window.output_times``.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -90,16 +93,9 @@ def solve_gpc(
         )
     if rule is None:
         rule = default_rule()
-    # exact coupling matrix (the quadrature rule only serves the nonlinearity)
-    advection = legendre_advection_matrix(order)
-    table = legendre_table(order, rule.nodes) if problem.has_reaction else None
-    w = rule.weights
-
-    def rhs(coeffs, out):
-        np.matmul(advection, spatial_derivative(coeffs, grid), out=out)
-        if problem.has_reaction:
-            out += table.T @ (w[:, None] * problem.reaction(table @ coeffs))
-
+    table = legendre_table(order, rule.nodes)
+    rhs = _galerkin_rhs(problem, legendre_advection_matrix(order), grid, table,
+                        (rule.weights[:, None] * table).T)
     initial = np.zeros((order, grid.point_count))
     initial[0] = problem.initial_condition(grid.points)
     if step is None:

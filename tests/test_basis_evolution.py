@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from empchaos import basis_evolution, driver
 from empchaos.basis_evolution import (
+    CONDITION_LIMIT,
     SingularBlock,
     SpatialGalerkinPair,
     block_decompose,
@@ -87,6 +88,81 @@ class TestBlockDecompose:
         blocks = block_decompose(spatial_pair(funcs, grid))
         covered = [i for a, b in blocks for i in range(a, b)]
         assert covered == list(range(basis.size))
+
+
+def cond_split(gram):
+    """The greedy split by ``np.linalg.cond``: each block grows from size 1
+    while its leading submatrix's condition number is finite and below the
+    limit, and a block that cannot hold even its first index must start at a
+    nonzero diagonal entry."""
+    blocks, start = [], 0
+    while start < len(gram):
+        size = 0
+        for trial in range(1, len(gram) - start + 1):
+            cond = np.linalg.cond(gram[start:start + trial, start:start + trial])
+            if not (np.isfinite(cond) and cond < CONDITION_LIMIT):
+                break
+            size = trial
+        if size == 0:
+            if gram[start, start] == 0.0:
+                raise SingularBlock(f"zero diagonal entry at index {start}")
+            size = 1
+        blocks.append((start, start + size))
+        start += size
+    return blocks
+
+
+def split_outcome(split, gram):
+    """The blocks of ``split(gram)``, or the type of the exception it raises."""
+    try:
+        return split(gram)
+    except (SingularBlock, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def alternating_run_pairs(problem, rule, monkeypatch):
+    """Every pair that ``block_decompose`` splits in a short alternating wave run."""
+    pairs = []
+    decompose = basis_evolution.block_decompose
+
+    def recording(pair):
+        pairs.append(pair)
+        return decompose(pair)
+
+    monkeypatch.setattr(basis_evolution, "block_decompose", recording)
+    driver.run_schedule(driver.EmpiricalConfig(
+        problem=problem, grid=SpatialGrid(32), rule=rule, window_length=1.0,
+        t_final=4.0, schedule=driver.alternating_schedule))
+    monkeypatch.undo()
+    return pairs
+
+
+class TestBlockSplitMatchesCondition:
+    def test_alternating_run_grams(self, wave, rule_120, monkeypatch):
+        pairs = alternating_run_pairs(wave, rule_120, monkeypatch)
+        assert pairs and any(len(block_decompose(pair)) > 1 for pair in pairs)
+        for pair in pairs:
+            assert block_decompose(pair) == cond_split(pair.gram)
+
+    def test_random_rank_two_grams(self):
+        rng = np.random.default_rng(7)
+        for n in range(2, 12):
+            for _ in range(5):
+                factor = rng.normal(size=(n, 2)) * rng.uniform(1e-9, 1e3, size=2)
+                gram = factor @ factor.T
+                pair = SpatialGalerkinPair(gram=gram, advect=np.zeros((n, n)))
+                expected = split_outcome(cond_split, gram)
+                assert split_outcome(block_decompose, pair) == expected
+
+    def test_nan_diagonal_gram(self, wave, rule_120, monkeypatch):
+        pair = max(alternating_run_pairs(wave, rule_120, monkeypatch), key=lambda p: p.size)
+        for index in (0, pair.size // 2, pair.size - 1):
+            gram = pair.gram.copy()
+            gram[index, index] = np.nan
+            nan_pair = SpatialGalerkinPair(gram=gram, advect=pair.advect)
+            expected = split_outcome(cond_split, gram)
+            assert expected == np.linalg.LinAlgError
+            assert split_outcome(block_decompose, nan_pair) == expected
 
 
 class TestEvolveBasis:

@@ -189,6 +189,20 @@ class TestGalerkinRhs:
                                    gpc.legendre_advection_matrix(order), atol=1e-10)
 
 
+class TestGpcIsTheLegendreCase:
+    def test_propagate_window_matches_solve_gpc(self, advection_reaction):
+        # the gPC solve is the Galerkin core on a normalized Legendre basis:
+        # its mass is the identity on a Gauss-Legendre rule
+        order, grid = 6, SpatialGrid(64)
+        rule = gauss_legendre_rule(24)
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 5)
+        expected = gpc.solve_gpc(advection_reaction, order, grid, window, 1e-2, rule)
+        states = propagate_window(advection_reaction, expected[0],
+                                  legendre_basis(order, rule), window, grid, 1e-2)
+        np.testing.assert_allclose(states, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
+
 class TestPropagateWindow:
     def test_constant_basis_stays_frozen(self, wave, rule_300):
         grid = SpatialGrid(32)

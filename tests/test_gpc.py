@@ -11,6 +11,7 @@ from empchaos.gpc import (
 from empchaos.pde_core import (
     SpatialGrid,
     TimeWindow,
+    spatial_derivative,
     wave_exact_mean_square,
 )
 from empchaos.random_space import expectation, gauss_legendre_rule, legendre_table
@@ -110,6 +111,49 @@ class TestSolveGpc:
         coefficients = solve_gpc(wave, 4, grid, window, 1e-2)
         np.testing.assert_array_equal(mean_series(coefficients, 5),
                                       coefficients[:, 0, 5])
+
+
+def textbook_gpc(problem, order, grid, window, step, rule):
+    """Classical RK4 on the gPC system, written out independently of the
+    solver: c' = A D(c) + L^T W reaction(L c), with A the Legendre coupling,
+    D the central difference and L the Legendre table at the rule's nodes,
+    over outputs evenly spaced by a whole number of steps."""
+    advection = legendre_advection_matrix(order)
+    table = legendre_table(order, rule.nodes)
+
+    def rhs(c):
+        return (advection @ spatial_derivative(c, grid)
+                + table.T @ (rule.weights[:, None] * problem.reaction(table @ c)))
+
+    times = np.asarray(window.output_times)
+    per_output = int(round((times[1] - times[0]) / step))
+    c = np.zeros((order, grid.point_count))
+    c[0] = problem.initial_condition(grid.points)
+    states = [c]
+    for _ in times[1:]:
+        for _ in range(per_output):
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * step * k1)
+            k3 = rhs(c + 0.5 * step * k2)
+            k4 = rhs(c + step * k3)
+            c = c + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(c)
+    return np.array(states)
+
+
+class TestTextbookOracle:
+    # the solver folds 1/(2h) into its operator and sums both terms in one
+    # matmul, so it matches the textbook arithmetic to roundoff, not bit for bit
+    @pytest.mark.parametrize("problem_name, order, t_final", [
+        ("wave", 12, 2.0), ("advection_reaction", 6, 1.0)])
+    def test_matches_textbook_rk4(self, request, problem_name, order, t_final):
+        problem = request.getfixturevalue(problem_name)
+        grid, rule = SpatialGrid(64), default_rule(60)
+        window = TimeWindow.with_uniform_outputs(0.0, t_final, 5)
+        solved = solve_gpc(problem, order, grid, window, 1e-2, rule)
+        expected = textbook_gpc(problem, order, grid, window, 1e-2, rule)
+        np.testing.assert_allclose(solved, expected, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(expected)))
 
 
 class TestProjectExactWave:
