@@ -341,9 +341,10 @@ def _one_blas_thread():
     numpy and scipy each bundle an OpenBLAS; on a two-core machine their
     threaded pools spin against each other, and the solves' matrices are too
     small to gain from a second thread. The second core serves the
-    advection-reaction ensemble instead, whose blocks of samples are marched
-    on one thread per CPU, and the Monte Carlo worker processes, which inherit
-    the setting, march on one thread each and make no BLAS call.
+    advection-reaction ensemble instead, whose samples are cut into equal
+    blocks marched on up to one thread per CPU, and the Monte Carlo worker
+    processes, which inherit the setting, march on one thread each and make
+    no BLAS call.
 
     Each count is set with the worker threads stopped: an idle worker spins
     for about 0.1 s after threaded work or a restart (setting a count restarts

@@ -10,13 +10,15 @@ times can be reached. ``integrate_ode`` is the one marched RK4, run in place
 in preallocated stage buffers: the advection-reaction ensemble, the Galerkin
 reaction system and gPC all march through its steps. The ensemble is marched
 in cache-sized blocks of samples, each held sample-major, on one thread per
-CPU. The wave operator is linear and its central difference is circulant, so
-its RK4 steps are applied in Fourier space: each mode is multiplied by a
-power of the RK4 stability polynomial, which gives the marched solution
-without the march. The two ensemble kernels hand the states at each output
-time to a ``record`` callable, in row order, so a caller can reduce them as
-they come instead of holding every output; an ensemble with a ``record`` is
-marched on one thread.
+CPU; the blocks are equal and their count a multiple of the thread count, so
+no thread idles while another marches the last block. The wave operator is
+linear and its central difference is circulant, so its RK4 steps are applied
+in Fourier space: each mode is multiplied by a power of the RK4 stability
+polynomial, which gives the marched solution without the march. The two
+ensemble kernels hand the states at each output time to a ``record``
+callable, in row order, so a caller can reduce them as they come instead of
+holding every output; an ensemble with a ``record`` is marched on one
+thread, in blocks of a fixed size.
 """
 
 from __future__ import annotations
@@ -380,14 +382,54 @@ def integrate_advection(
     return out
 
 
-# State entries (samples times grid points) per block of ``integrate_reaction``;
-# a block's workspace (state, five stage buffers and reaction scratch) is then
-# 7 x 256 KB. On a 2-vCPU AMD EPYC with a 1 MiB L2 cache per core, blocks of
-# 16K to 128K entries marched within about 5 % of each other on one thread,
-# and blocks of 4K about 50 % slower: numpy's per-call overhead then outweighs
-# the cache. On two threads 32K to 128K stayed within 10 %, but 16K ran 25 %
-# slower, the threads waiting on each other for the interpreter lock.
+# The blocks of samples of ``integrate_reaction``, in state entries (samples
+# times grid points). One ``solve_ensemble`` window of 200 steps, best of 7,
+# on a 2-vCPU AMD EPYC with a 1 MiB L2 cache per core and a 32 MiB shared L3:
+#
+#   samples x grid   1 block on 1 thread   blocks on 2 threads
+#   300 x 256        0.106 s               2 x 150: 0.064 s, 3 x 100: 0.109 s, 4 x 75: 0.125 s
+#   300 x 128        0.054 s               2 x 150: 0.037 s, 4 x 75: 0.054 s
+#   600 x 256        0.221 s               2 x 300: 0.116 s, 4 x 150: 0.123 s, 6 x 100: 0.133 s
+#   2400 x 256                             2 x 1200: 0.480 s, 4 x 600: 0.446 s,
+#                                          8 x 300: 0.452 s, 16 x 150: 0.481 s
+#
+# Without a ``record`` the samples are cut into equal blocks, the fewest per
+# thread that hold at most ``_MOST_ENTRIES`` each. An unequal last block
+# leaves a thread idle while it is marched, and a thread with more blocks
+# makes more array calls and waits more often on the other for the
+# interpreter lock. A block's workspace (state, five stage buffers and
+# reaction scratch) is then at most 7 MiB, so one per thread fits in the L3.
+# Two threads marched 16K entries no faster than one, 20K about 10 % faster
+# and 32K 1.4x faster (grids 64 to 256), so each thread takes at least
+# ``_THREAD_ENTRIES``, and a smaller ensemble is one block; more than two
+# threads were not measured. With a ``record`` (every Monte Carlo chunk) the
+# blocks hold ``_BLOCK_ENTRIES`` each, on one thread. On one thread, blocks
+# of 16K to 300K entries marched within about 5 % of each other, and blocks
+# of 4K about 50 % slower, numpy's per-call overhead then outweighing the
+# cache.
 _BLOCK_ENTRIES = 32_768
+_MOST_ENTRIES = 131_072
+_THREAD_ENTRIES = 10_240
+
+
+def _blocks(count: int, points: int, threads: int | None) -> list[slice]:
+    """The blocks of rows in which ``integrate_reaction`` marches ``count``
+    states of ``points`` entries. With ``threads`` None (a march with a
+    ``record``) each block holds ``_BLOCK_ENTRIES // points`` rows, the last
+    one the rest. Otherwise the rows are cut into blocks whose sizes differ
+    by at most one row, as many as the threads used times the fewest per
+    thread that hold at most ``_MOST_ENTRIES`` entries each. At most
+    ``threads`` are used, and no more than leaves ``_THREAD_ENTRIES`` entries
+    to each, so a smaller ensemble is one block; there are never more blocks
+    than rows.
+    """
+    if threads is None:
+        size = max(1, _BLOCK_ENTRIES // points)
+        return [slice(first, min(first + size, count)) for first in range(0, count, size)]
+    entries = count * points
+    threads = max(1, min(threads, entries // _THREAD_ENTRIES))
+    n = min(count, threads * -(-entries // (threads * _MOST_ENTRIES)))
+    return [slice(i * count // n, (i + 1) * count // n) for i in range(n)]
 
 
 def _cpu_count() -> int:
@@ -413,17 +455,19 @@ def integrate_reaction(
     ``initial`` holds one state of length M per row, marched with the speed
     of its row; D is the periodic central difference, taken as the raw
     difference times speed / (2h). The rows do not couple, so the RK4 steps of
-    ``integrate_ode`` march them a block of ``_BLOCK_ENTRIES`` state entries
-    at a time, each block copied transposed (samples contiguous) so that its
-    state and stage buffers stay in cache for the whole window. Without a
-    ``record``, the blocks are marched on min(CPUs, blocks) threads, since
-    numpy releases the interpreter lock inside each array operation; the
-    partition into blocks does not depend on the thread count, and neither
-    do the states. With ``check``, raises ``IntegrationDiverged`` at the
-    earliest step at which any row is non-finite. By default the states are
-    written into the returned (n_output_times, K, M) array. With a
-    ``record``, the blocks are marched one after another on the calling
-    thread, and each block's states at each output go to
+    ``integrate_ode`` march them a block of rows at a time (see ``_blocks``),
+    each block copied transposed (samples contiguous) so that its state and
+    stage buffers stay in cache for the whole window. Without a ``record``,
+    the rows are cut into equal blocks, their count a multiple of the threads
+    that march them, at most one per CPU, since numpy releases the
+    interpreter lock inside each array operation; so the partition depends
+    on the CPU count, but every row is marched by the same element-wise
+    arithmetic in any block, and the states do not. With ``check``, raises
+    ``IntegrationDiverged`` at the earliest step at which any row is
+    non-finite. By default the states are written into the returned
+    (n_output_times, K, M) array. With a ``record``, the blocks are of
+    ``_BLOCK_ENTRIES`` state entries, marched one after another on the
+    calling thread, and each block's states at each output go to
     ``record(j, first, rows)`` in row order.
     """
     initial = np.asarray(initial, dtype=float)
@@ -431,11 +475,11 @@ def integrate_reaction(
     if initial.shape != (speeds.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
-    size = max(1, _BLOCK_ENTRIES // grid.point_count)
-    firsts = range(0, speeds.size, size)
-    threads = 1 if record is not None else min(_cpu_count(), len(firsts))
+    cpus = None if record is not None else _cpu_count()
+    blocks = _blocks(speeds.size, grid.point_count, cpus)
+    threads = min(cpus or 1, len(blocks))
     states, record = _recorder(window, initial.shape, record)
-    entries = min(size, speeds.size) * grid.point_count
+    entries = max((b.stop - b.start for b in blocks), default=0) * grid.point_count
     plan = _plan_march(window, step, entries)
     scaled = speeds / (2.0 * grid.spacing)
     # one workspace per thread, allocated here: buffers that a pool thread
@@ -446,8 +490,8 @@ def integrate_reaction(
     # thread does not inherit
     errors = np.geterr()
 
-    def march(first: int) -> IntegrationDiverged | None:
-        speed = scaled[first:first + size]
+    def march(block: slice) -> IntegrationDiverged | None:
+        speed = scaled[block]
         workspace = workspaces.pop()
         try:
             state, *stages, scratch = workspace[:7 * speed.size * grid.point_count].reshape(
@@ -460,9 +504,9 @@ def integrate_reaction(
                 out += problem.reaction(u, out=scratch)
 
             def block_record(j: int, _: int, rows: np.ndarray) -> None:
-                record(j, first, rows.T)
+                record(j, block.start, rows.T)
 
-            np.copyto(state, initial[first:first + size].T)
+            np.copyto(state, initial[block].T)
             with np.errstate(**errors):
                 _march(rhs, state, stages, window, plan, check, block_record)
         except IntegrationDiverged as exc:
@@ -475,9 +519,9 @@ def integrate_reaction(
         # loaded on first use, as montecarlo loads its process pool
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(threads) as pool:
-            outcomes = list(pool.map(march, firsts))
+            outcomes = list(pool.map(march, blocks))
     else:
-        outcomes = list(map(march, firsts))
+        outcomes = list(map(march, blocks))
     diverged = [exc for exc in outcomes if exc is not None]
     if diverged:
         # a later block may diverge earlier: report the earliest

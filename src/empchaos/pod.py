@@ -149,11 +149,12 @@ def truncate_pod(
         raise ValueError("trajectory node count must equal quadrature node count")
     # the right singular vectors and singular values of A = QR are those of R
     # (T. Chan's R-bidiagonalization), so only R is decomposed and no left
-    # vectors are formed. The BLAS thread policy lives in the CLI
-    # (cli._one_blas_thread), not here.
+    # vectors are formed. R has A's row count, and below its leading K x K
+    # block its rows are zero, so only that block is decomposed. The BLAS
+    # thread policy lives in the CLI (cli._one_blas_thread), not here.
     (r,) = scipy.linalg.qr(_energetic_rows(trajectories), mode="r", overwrite_a=True,
                            check_finite=False)
-    _, sigma, vt = scipy.linalg.svd(r, full_matrices=False, check_finite=False)
+    _, sigma, vt = scipy.linalg.svd(r[:k], full_matrices=False, check_finite=False)
     sigma = np.pad(sigma, (0, min(n_t * m, k) - sigma.size))
     n_keep = max(1, least, int(np.count_nonzero(sigma / sigma[0] >= threshold)))
     if cap is not None:

@@ -439,6 +439,19 @@ def assert_close_to_march(states, marched):
                                atol=1e-13 * np.max(np.abs(marched)))
 
 
+def marched_blocks(monkeypatch):
+    """Spy on ``pde_core._march``: the list it returns gets the (grid points,
+    rows) shape of each block's state as the block is marched."""
+    shapes = []
+    march = pde_core._march
+
+    def spy(rhs, state, *args):
+        shapes.append(state.shape)
+        march(rhs, state, *args)
+    monkeypatch.setattr(pde_core, "_march", spy)
+    return shapes
+
+
 def on_one_and_two_cpus(monkeypatch, march, *args, **kwargs):
     """``march(*args, **kwargs)`` with the CPU count patched to 1 and then to
     2, so that a kernel with two or more blocks marches them on one thread and
@@ -540,16 +553,19 @@ class TestIntegrateReaction:
 
     def test_divergence_time_is_the_earliest_over_all_blocks(self, monkeypatch):
         # cubic growth blows up from amplitude a at about t = 1/(2a^2); rows
-        # in blocks 1, 2 and 3 blow up at different steps, earliest in block
-        # 2, so neither the first nor the last diverging block gives the time
+        # 1, 2 and 3 blow up at different steps, earliest row 2. The rows are
+        # cut into 3 blocks on 1 CPU and 4 on 2, and rows 1, 2 and 3 lie at
+        # a tenth, four tenths and nine tenths of them: in three blocks, row
+        # 2 in block 1 on both, so neither the first nor the last diverging
+        # block gives the time
         blower = PdeProblem(kind="AdvectionReaction",
                             initial_condition=lambda x: np.cos(x) + 1.5,
                             reaction_coefficient=1.0, reaction_exponent=3.0)
         grid = SpatialGrid(64)
-        block = samples_per_block(grid)
-        speeds = np.random.default_rng(4).uniform(-1.0, 1.0, 3 * block + 3)
+        count = 2 * pde_core._MOST_ENTRIES // 64 + 3
+        speeds = np.random.default_rng(4).uniform(-1.0, 1.0, count)
         initial = np.full((speeds.size, 64), 0.1)
-        rows = {1: block + 7, 2: 2 * block + 11, 3: 3 * block + 1}
+        rows = {1: count // 10, 2: 4 * count // 10, 3: 9 * count // 10}
         for b, amplitude in ((1, 2.0), (2, 4.0), (3, 3.0)):
             initial[rows[b]] = amplitude
         window = TimeWindow(0.0, 0.5)
@@ -571,6 +587,75 @@ class TestIntegrateReaction:
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             assert time_of(integrate_reaction, speeds, initial) == marched
+
+    def test_two_cpus_march_two_equal_blocks(self, advection_reaction, monkeypatch):
+        # the resample window of the default advection-reaction run
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        grid = SpatialGrid(256)
+        speeds = np.linspace(-1.0, 1.0, 300)
+        u0 = advection_reaction.initial_condition(grid.points)
+        blocks = marched_blocks(monkeypatch)
+        integrate_reaction(advection_reaction, speeds, np.tile(u0, (300, 1)),
+                           TimeWindow.with_uniform_outputs(0.0, 0.1, 3), grid, 1e-2)
+        assert blocks == [(256, 150)] * 2
+
+    def test_uneven_count_blocks_differ_by_one_row(self, advection_reaction, monkeypatch):
+        grid = SpatialGrid(256)
+        rng = np.random.default_rng(11)
+        speeds = rng.uniform(-1.0, 1.0, 301)
+        initial = 1.5 + rng.uniform(-1.0, 1.0, (301, 256))
+        window = TimeWindow.with_uniform_outputs(0.0, 0.2, 3)
+        blocks = marched_blocks(monkeypatch)
+        states = on_one_and_two_cpus(monkeypatch, integrate_reaction, advection_reaction,
+                                     speeds, initial, window, grid, 1e-2)
+        assert blocks[0] == (256, 301)
+        assert sorted(blocks[1:]) == [(256, 150), (256, 151)]
+        assert_close_to_march(states, reaction_march(advection_reaction, speeds, initial,
+                                                     window, grid, 1e-2))
+
+    @pytest.mark.parametrize("count,points,cpus,sizes", [
+        (0, 64, 2, []),
+        (1, 64, 2, [1]),
+        (3, 2 * pde_core._MOST_ENTRIES, 8, [1, 1, 1]),
+        (2 * pde_core._THREAD_ENTRIES // 64 - 1, 64, 2,
+         [2 * pde_core._THREAD_ENTRIES // 64 - 1]),
+        (2 * pde_core._THREAD_ENTRIES // 64, 64, 2, [pde_core._THREAD_ENTRIES // 64] * 2),
+        (300, 256, 64, [300 / 7] * 7),
+        (5 * pde_core._MOST_ENTRIES // 64, 64, 1, [pde_core._MOST_ENTRIES // 64] * 5),
+        (5 * pde_core._MOST_ENTRIES // 64, 64, 2, [5 * pde_core._MOST_ENTRIES // 384] * 6),
+    ], ids=["none", "fewer-than-threads", "one-row-blocks", "below-split", "at-split",
+            "threads-capped-by-entries", "one-thread", "multiple-of-threads"])
+    def test_partition_edge_cases(self, count, points, cpus, sizes):
+        blocks = pde_core._blocks(count, points, cpus)
+        assert [b.stop - b.start for b in blocks] == pytest.approx(sizes, abs=1)
+        assert sum(b.stop - b.start for b in blocks) == count
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+    def test_empty_and_tiny_ensembles_march(self, advection_reaction, monkeypatch):
+        grid = SpatialGrid(32)
+        window = TimeWindow.with_uniform_outputs(0.0, 0.1, 3)
+        for count in (0, 1):
+            initial = np.full((count, 32), 1.5)
+            states = on_one_and_two_cpus(monkeypatch, integrate_reaction, advection_reaction,
+                                         np.zeros(count), initial, window, grid, 1e-2)
+            assert states.shape == (3, count, 32)
+
+    def test_step_entry_limit_counts_the_largest_block(self, advection_reaction,
+                                                       monkeypatch):
+        # 300 x 256 on 2 CPUs marches two blocks of 150 rows, 10 steps each
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        grid = SpatialGrid(256)
+        speeds = np.linspace(-1.0, 1.0, 300)
+        initial = np.full((300, 256), 1.5)
+        window = TimeWindow(0.0, 0.1)
+        blocks = marched_blocks(monkeypatch)
+        monkeypatch.setattr(pde_core, "STEP_ENTRY_LIMIT", 10 * 150 * 256)
+        integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2)
+        assert len(blocks) == 2
+        monkeypatch.setattr(pde_core, "STEP_ENTRY_LIMIT", 10 * 150 * 256 - 1)
+        with pytest.raises(ValueError, match="exceed the limit"):
+            integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2)
+        assert len(blocks) == 2
 
     def test_march_without_an_affinity_mask(self, advection_reaction, monkeypatch):
         # where the platform has none (macOS, Windows), every CPU counts

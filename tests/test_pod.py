@@ -182,6 +182,27 @@ class TestFourierRows:
         assert np.max(np.abs(basis.singular_values - sigma)) <= bound
         assert np.all(basis.singular_values[2 * 2 * n_t:] == 0.0)
 
+    @pytest.mark.parametrize("points", [32, 2], ids=["rows-above-k", "rows-below-k"])
+    def test_decomposes_the_square_part_of_r(self, monkeypatch, points):
+        # R has A's row count, and below its leading K x K block it is zero:
+        # 3 output times of 9 samples give 96 energetic rows at 32 grid
+        # points, and 6 at 2
+        rule = small_rule(9)
+        trajectories = np.random.default_rng(points).normal(size=(3, 9, points))
+        rows = pod._energetic_rows(trajectories).shape[0]
+        assert rows == 3 * points
+        shapes = []
+        svd = scipy.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "svd", spy)
+        truncate_pod(trajectories, 1e-4, rule)
+        assert shapes == [(min(rows, 9), 9)]
+        monkeypatch.undo()
+        assert_matches_direct_svd(trajectories, 1e-4, rule)
+
     @pytest.mark.parametrize("per_chunk", [1, 2, 5])
     def test_rows_do_not_depend_on_the_spectrum_chunks(self, wave, monkeypatch, per_chunk):
         # 11 output times; 5 per chunk leaves a last chunk of one
