@@ -5,9 +5,13 @@ chooses its stochastic basis (resampled and truncated by POD, advanced by the
 matrix-exponential basis evolution, or held) and propagates. At every seam
 with a new basis, window 0 included, the solution at the quadrature nodes is
 projected onto that basis in the probability measure; one projection serves
-every seam. On the reaction problem a resample window also picks the nodes
-at which its propagation evaluates the reaction: Q-DEIM points of the POD of
-the reaction of its own samples; hold windows keep the last ones. The state
+every seam. On the wave (any problem without reaction) a resample window
+never puts its samples on the grid: the POD reads their Fourier spectrum,
+marched only in the modes it keeps (``pde_core.AdvectionSpectrum``,
+``pod.truncate_spectrum``). On the reaction problem the samples are marched
+on the grid, and a resample window also picks the nodes at which its
+propagation evaluates the reaction: Q-DEIM points of the POD of the reaction
+of its own samples; hold windows keep the last ones. The state
 carried from window to window is the plain (basis count, grid size)
 coefficient array of the last output. Sampling and propagation get the one
 base step (``step`` or ``pde_core.default_step``); the solvers fit it to
@@ -31,8 +35,15 @@ from .galerkin import (
     project_node_values,
     propagate_window,
 )
-from .pde_core import PdeProblem, SpatialGrid, TimeWindow, default_step, solve_ensemble
-from .pod import truncate_pod
+from .pde_core import (
+    AdvectionSpectrum,
+    PdeProblem,
+    SpatialGrid,
+    TimeWindow,
+    default_step,
+    solve_ensemble,
+)
+from .pod import truncate_pod, truncate_spectrum
 from .random_space import QuadratureRule
 
 __all__ = [
@@ -173,7 +184,10 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     Each planned window first chooses its basis: ``resample`` samples
     trajectories from the current solution at the nodes (``u_nodes``) and
     truncates them by POD, ``evolve`` advances the previous basis by the
-    matrix-exponential operator, ``hold`` keeps it. A new basis gets its
+    matrix-exponential operator, ``hold`` keeps it. Without a reaction the
+    samples stay in Fourier space: ``sampling`` is one rfft of ``u_nodes``
+    and each mode's energy in closed form, ``svd`` the march of the kept
+    modes and the decomposition of their rows. A new basis gets its
     Galerkin matrices and ``u_nodes`` projected onto it; then the window is
     propagated. On the reaction problem each resample window also chooses
     the points at which propagation evaluates the reaction, from the
@@ -194,7 +208,7 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             u_nodes = (np.broadcast_to(u0, (len(rule), grid.point_count)) if basis is None
                        else basis.reconstruct(coefficients))
             timings.add("change_of_basis", time.perf_counter() - tic)
-        if action == RESAMPLE:
+        if action == RESAMPLE and problem.has_reaction:
             tic = time.perf_counter()
             trajectories = solve_ensemble(problem, rule.nodes, u_nodes, window, grid, step)
             timings.add("sampling", time.perf_counter() - tic)
@@ -202,14 +216,20 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
             tic = time.perf_counter()
             new_basis = truncate_pod(trajectories, config.threshold, rule,
                                      cap=config.basis_cap)
-            if problem.has_reaction:
-                interpolation = _reaction_interpolation(problem, trajectories, rule,
-                                                        new_basis.size)
-                # freed before the next window samples, which would otherwise
-                # set the peak memory (6.8 MB on grid 256, 300 nodes); the
-                # wave's samples stay bound, since freeing them early made
-                # every resample window page-fault a fresh array
-                del trajectories
+            interpolation = _reaction_interpolation(problem, trajectories, rule,
+                                                    new_basis.size)
+            # freed before the next window samples, which would otherwise set
+            # the peak memory (6.8 MB on grid 256, 300 nodes)
+            del trajectories
+            timings.add("svd", time.perf_counter() - tic)
+        elif action == RESAMPLE:
+            tic = time.perf_counter()
+            spectrum = AdvectionSpectrum(rule.nodes, u_nodes, window, grid, step)
+            timings.add("sampling", time.perf_counter() - tic)
+
+            tic = time.perf_counter()
+            new_basis = truncate_spectrum(spectrum, config.threshold, rule,
+                                          cap=config.basis_cap)
             timings.add("svd", time.perf_counter() - tic)
         elif action == EVOLVE:
             tic = time.perf_counter()

@@ -14,7 +14,9 @@ CPU; the blocks are equal and their count a multiple of the thread count, so
 no thread idles while another marches the last block. The wave operator is
 linear and its central difference is circulant, so its RK4 steps are applied
 in Fourier space: each mode is multiplied by a power of the RK4 stability
-polynomial, which gives the marched solution without the march. The two
+polynomial, which gives the marched solution without the march, and
+``AdvectionSpectrum`` keeps such an ensemble in Fourier space, with each
+mode's energy in closed form and only the modes asked for marched. The two
 ensemble kernels hand the states at each output time to a ``record``
 callable, in row order, so a caller can reduce them as they come instead of
 holding every output; an ensemble with a ``record`` is marched on one
@@ -42,6 +44,7 @@ __all__ = [
     "STEP_ENTRY_LIMIT",
     "integrate_ode",
     "integrate_advection",
+    "AdvectionSpectrum",
     "integrate_reaction",
     "solve_ensemble",
     "wave_exact_mean_square",
@@ -328,6 +331,40 @@ def _march(rhs: Callable[[np.ndarray, np.ndarray], None], state: np.ndarray,
         record(j, 0, state)
 
 
+def _rates(speeds: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """speed * sin(k*h)/h for each speed (rows) and rfft mode k (columns): the
+    central difference times the speed is multiplication by i times it."""
+    modes = np.arange(grid.point_count // 2 + 1)
+    return np.multiply.outer(speeds, np.sin(modes * grid.spacing) / grid.spacing)
+
+
+def _growth(z: np.ndarray) -> np.ndarray:
+    """The RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+
+
+def _growth_energy(y: np.ndarray) -> np.ndarray:
+    """|R(iy)|^2 = 1 - y^6/72 + y^8/576, the factor by which one RK4 step of
+    the advection multiplies a Fourier mode's squared modulus; at most 1 for
+    |y| <= 2*sqrt(2)."""
+    y2 = y * y
+    return 1.0 + y2 * y2 * y2 * (y2 / 576.0 - 1.0 / 72.0)
+
+
+def _advection_plan(speeds: np.ndarray, window: TimeWindow, grid: SpatialGrid,
+                    step: float) -> list[tuple[float, int]]:
+    """``_plan_steps``, after checking the CFL number of the fastest finite
+    speed at the longest planned step: above 1/2 it is a ValueError."""
+    plan = _plan_steps(window, step)
+    longest = max(dt for dt, _ in plan)
+    # a non-finite sample (kept by Monte Carlo, excluded later) sets no bound
+    speed = np.max(np.abs(speeds), initial=0.0, where=np.isfinite(speeds))
+    cfl = float(speed) * longest / grid.spacing
+    if cfl > 0.5 + 1e-12:
+        raise ValueError(f"CFL number {cfl:.3f} exceeds 1/2; reduce the step")
+    return plan
+
+
 def integrate_advection(
     speeds: np.ndarray,
     initial: np.ndarray,
@@ -345,12 +382,16 @@ def integrate_advection(
     rows. In Fourier mode k, D is multiplication by i*sin(k*h)/h, so in the
     eigenvector coordinates one RK4 step multiplies each entry by the
     stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
-    z = i*speed*dt*sin(k*h)/h, and n steps by R(z)^n; one power is computed
-    per distinct (dt, n) of the plan. The steps are planned as in
-    ``integrate_ode``, and an output at the start is the initial state
-    itself. With ``check``, a non-finite output raises ``IntegrationDiverged``
-    at its output time. Each output's rows go to ``record(j, 0, rows)``; by
-    default they are written into the returned (n_output_times, K, M) array.
+    z = i*speed*dt*sin(k*h)/h, and n steps by R(z)^n (``_growth``, which
+    ``AdvectionSpectrum.march`` shares); one power is computed per distinct
+    (dt, n) of the plan. The steps are planned as in ``integrate_ode``, and
+    an output at the start is the initial state itself. With ``check``, a
+    non-finite output raises ``IntegrationDiverged`` at its output time.
+    Each output's rows go to ``record(j, 0, rows)``; by default they are
+    written into the returned (n_output_times, K, M) array. The Galerkin
+    propagation (with ``eigenvectors``) and Monte Carlo (with a ``record``)
+    march here; the wave's POD windows do not, since ``AdvectionSpectrum``
+    gives them the spectrum without the transform back to the grid.
     """
     state = np.array(initial, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
@@ -359,8 +400,7 @@ def integrate_advection(
                          f"({speeds.size}, {grid.point_count})")
     plan = _plan_steps(window, step)
     out, record = _recorder(window, state.shape, record)
-    modes = np.arange(grid.point_count // 2 + 1)
-    rates = np.multiply.outer(speeds, np.sin(modes * grid.spacing) / grid.spacing)
+    rates = _rates(speeds, grid)
     powers = {}
     spectrum = np.fft.rfft(state, axis=-1)
     if eigenvectors is not None:
@@ -371,8 +411,7 @@ def integrate_advection(
             record(j, 0, state)
             continue
         if (dt, n) not in powers:
-            z = 1j * dt * rates
-            powers[dt, n] = (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) ** n
+            powers[dt, n] = _growth(1j * dt * rates) ** n
         spectrum *= powers[dt, n]
         mixed = spectrum if eigenvectors is None else vecs @ spectrum
         rows = np.fft.irfft(mixed, n=grid.point_count, axis=-1)
@@ -380,6 +419,59 @@ def integrate_advection(
             raise IntegrationDiverged(window.output_times[j])
         record(j, 0, rows)
     return out
+
+
+class AdvectionSpectrum:
+    """The wave ensemble of ``solve_ensemble`` kept in Fourier space, marched
+    only in the modes asked for.
+
+    For one speed the advection is diagonal in the Fourier modes: one RK4
+    step multiplies mode k by R(iy) (``_growth``), with y = speed*dt*sin(k*h)/h,
+    and so its squared modulus by |R(iy)|^2 (``_growth_energy``). Built from
+    the (K, M) states ``initial`` at the K ``speeds``, after the CFL check of
+    ``solve_ensemble`` and before any other work, it takes one rfft along x
+    and works out ``energy`` in closed form: the (n_output_times, M//2 + 1)
+    sum over the samples of each mode's squared modulus at each output, on
+    the plan of ``_plan_steps``. A non-finite energy, or one whose running sum
+    over the outputs overflows, raises ``IntegrationDiverged`` at the first
+    output time at which it does. ``march(modes)`` returns those modes'
+    (n_output_times, K, len(modes)) spectrum as ``integrate_advection``
+    marches it, with no transform back to the grid.
+    """
+
+    def __init__(self, speeds: np.ndarray, initial: np.ndarray, window: TimeWindow,
+                 grid: SpatialGrid, step: float):
+        speeds = np.asarray(speeds, dtype=float)
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (speeds.size, grid.point_count):
+            raise ValueError(f"initial has shape {initial.shape}, expected "
+                             f"({speeds.size}, {grid.point_count})")
+        self.plan = _advection_plan(speeds, window, grid, step)
+        self.grid = grid
+        self.rates = _rates(speeds, grid)
+        self.spectrum = np.fft.rfft(initial, axis=-1)
+        power = self.spectrum.real ** 2 + self.spectrum.imag ** 2
+        self.energy = np.empty((len(self.plan), power.shape[1]))
+        gains = {}
+        for j, (dt, n) in enumerate(self.plan):
+            if n:
+                if (dt, n) not in gains:
+                    gains[dt, n] = _growth_energy(dt * self.rates) ** n
+                power *= gains[dt, n]
+            power.sum(axis=0, out=self.energy[j])
+        finite = np.isfinite(np.cumsum(self.energy.sum(axis=1)))
+        if not finite.all():
+            raise IntegrationDiverged(window.output_times[int(np.argmin(finite))])
+
+    def march(self, modes: np.ndarray) -> np.ndarray:
+        spectrum = self.spectrum[:, modes]
+        rates = self.rates[:, modes]
+        out = np.empty((len(self.plan),) + spectrum.shape, dtype=complex)
+        for j, (dt, n) in enumerate(self.plan):
+            if n:
+                spectrum *= _growth(1j * dt * rates) ** n
+            out[j] = spectrum
+        return out
 
 
 # The blocks of samples of ``integrate_reaction``, in state entries (samples
@@ -549,10 +641,12 @@ def solve_ensemble(
     one state of length M (shared by all samples) or an array of shape
     (K, M). The step (by default ``default_step``) is fitted to the output
     times, and the CFL bound is checked against the longest step of the
-    plan; the kernels plan the same steps from the same ``step``. Returns
-    (n_output_times, K, M), or hands the states to ``record`` as the
-    kernels describe: all rows at once on the wave, and block by block in
-    row order, on one thread, on the advection-reaction problem.
+    plan (``_advection_plan``, which ``AdvectionSpectrum`` also checks
+    first), before any marching; the kernels plan the same steps from the
+    same ``step``. Returns (n_output_times, K, M), or hands the states to
+    ``record`` as the kernels describe: all rows at once on the wave, and
+    block by block in row order, on one thread, on the advection-reaction
+    problem.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     initial = np.asarray(initial, dtype=float)
@@ -561,12 +655,7 @@ def solve_ensemble(
     if initial.shape != (xis.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected ({xis.size}, {grid.point_count})")
     step = default_step(grid) if step is None else step
-    longest = max(dt for dt, _ in _plan_steps(window, step))
-    # a non-finite sample (kept by Monte Carlo, excluded later) sets no bound
-    speed = np.max(np.abs(xis), initial=0.0, where=np.isfinite(xis))
-    cfl = float(speed) * longest / grid.spacing
-    if cfl > 0.5 + 1e-12:
-        raise ValueError(f"CFL number {cfl:.3f} exceeds 1/2; reduce the step")
+    _advection_plan(xis, window, grid, step)
     if not problem.has_reaction:
         return integrate_advection(xis, initial, window, grid, step, check=check,
                                    record=record)

@@ -728,6 +728,29 @@ class TestScalingStudy:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_empirical_time_is_the_least_of_rounds(self, monkeypatch):
+        # each round solves every horizon once; a slow spell (the 9 s) in one
+        # round does not set that horizon's time
+        durations = iter([1.0, 2.0, 9.0, 1.5, 2.5, 3.0, 1.2, 9.0, 3.5])
+        clock = [0.0]
+        solved = []
+
+        class Archive:
+            def basis_counts(self):
+                return np.array([4, 5])
+
+        def timed_schedule(config):
+            solved.append(config.t_final)
+            clock[0] += next(durations)
+            return Archive(), None
+        monkeypatch.setattr(cli.driver, "run_schedule", timed_schedule)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+        report = cli.run_scaling_study(ExperimentConfig(grid_size=32, node_count=20),
+                                       [3.0, 1.0, 2.0], with_gpc=False)
+        assert solved == [1.0, 2.0, 3.0] * 3
+        assert [row["empirical_seconds"] for row in report["rows"]] == [1.0, 2.0, 3.0]
+        assert [row["max_basis_count"] for row in report["rows"]] == [5, 5, 5]
+
     def test_report_structure_and_artifacts(self, tmp_path):
         config = ExperimentConfig(grid_size=32, node_count=20,
                                   outputs_per_window=3,

@@ -17,6 +17,7 @@ from empchaos.driver import (
     window_plan,
 )
 from empchaos.pde_core import (
+    IntegrationDiverged,
     PdeProblem,
     SpatialGrid,
     solve_ensemble,
@@ -79,7 +80,10 @@ class TestConfigValidation:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the plan was checked")
 
+        # the wave samples through AdvectionSpectrum, the reaction problem
+        # through solve_ensemble
         monkeypatch.setattr(driver, "solve_ensemble", no_sampling)
+        monkeypatch.setattr(driver, "AdvectionSpectrum", no_sampling)
         config = EmpiricalConfig(problem=wave, grid=small_grid, rule=rule_120,
                                  t_final=3.0,
                                  schedule=lambda i: "shuffle" if i == 2 else HOLD)
@@ -197,6 +201,33 @@ class TestRunSchedule:
                                        @ old.coefficients[-1])
             np.testing.assert_allclose(new.coefficients[0], expected,
                                        rtol=0.0, atol=1e-12)
+
+    def test_wave_resamples_without_solve_ensemble(self, wave, advection_reaction, rule_120,
+                                                   monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return solve_ensemble(*args, **kwargs)
+        monkeypatch.setattr(driver, "solve_ensemble", spy)
+        config = EmpiricalConfig(problem=wave, grid=SpatialGrid(64), rule=rule_120,
+                                 t_final=3.0)
+        archive, timings = run_schedule(config)
+        assert calls == [] and len(archive.records) == 3
+        assert timings.sampling > 0.0 and timings.svd > 0.0
+        run_schedule(dataclasses.replace(config, problem=advection_reaction))
+        assert calls == [advection_reaction] * 3
+
+    @pytest.mark.parametrize("scale", [1e200, np.inf], ids=["huge", "inf"])
+    def test_wave_overflow_diverges(self, rule_120, scale):
+        # an ensemble whose energy overflows has diverged (exit 2), it is not
+        # a degenerate POD input (exit 1)
+        problem = PdeProblem(kind="Wave", initial_condition=lambda x: scale * np.cos(x))
+        config = EmpiricalConfig(problem=problem, grid=SpatialGrid(64), rule=rule_120,
+                                 t_start=2.0, t_final=3.0)
+        with pytest.raises(IntegrationDiverged) as info, np.errstate(all="ignore"):
+            run_schedule(config)
+        assert info.value.time in window_plan(config)[0][1].output_times
 
     def test_evolve_rejected_for_reaction(self, advection_reaction, rule_300):
         grid = SpatialGrid(64)

@@ -16,6 +16,7 @@ from empchaos.galerkin import (
     propagate_window,
 )
 from empchaos.pde_core import (
+    AdvectionSpectrum,
     IntegrationDiverged,
     PdeProblem,
     SpatialGrid,
@@ -387,6 +388,105 @@ def old_reaction(problem, u):
     if problem.reaction_exponent == 0.5:
         return problem.reaction_coefficient * np.sqrt(np.abs(u))
     return problem.reaction_coefficient * np.abs(u) ** problem.reaction_exponent
+
+
+def rich_states(count, grid_size, seed=4):
+    """(count, grid_size) states in which mode m holds about 0.25^m of the
+    energy, with a random phase per state and mode."""
+    x = SpatialGrid(grid_size).points
+    m = np.arange(1, grid_size // 2)
+    phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=(count, m.size, 1))
+    return np.einsum("m,kmx->kx", 0.5 ** m, np.cos(m[:, None] * x + phases))
+
+
+def ragged_window():
+    """Outputs 0.1 apart from t = 9 to 10, then 0.037 apart to 10.37."""
+    times = np.concatenate([np.linspace(9.0, 10.0, 11), np.linspace(10.0, 10.37, 11)[1:]])
+    return TimeWindow(9.0, 10.37, tuple(times))
+
+
+class TestAdvectionSpectrum:
+    """The wave ensemble in Fourier space: closed-form energy, kept-mode march."""
+
+    def test_growth_energy_is_the_squared_modulus_of_rk4(self):
+        # every y that a CFL number of at most 1/2 allows, and beyond
+        y = np.linspace(-0.5, 0.5, 2001)
+        z = 1j * y
+        textbook = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        np.testing.assert_allclose(pde_core._growth(z), textbook, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pde_core._growth_energy(y), np.abs(textbook) ** 2,
+                                   rtol=0, atol=1e-15)
+        y = np.linspace(-2.8, 2.8, 2001)
+        np.testing.assert_allclose(pde_core._growth_energy(y),
+                                   np.abs(pde_core._growth(1j * y)) ** 2, rtol=1e-13)
+
+    @pytest.mark.parametrize("grid_size,window", [
+        (128, TimeWindow.with_uniform_outputs(0.0, 1.0, 11)),
+        (127, TimeWindow.with_uniform_outputs(2.0, 3.0, 6)),
+        (128, ragged_window()),
+    ], ids=["uniform", "odd-grid", "ragged"])
+    def test_closed_form_energy_matches_the_marched_spectrum(self, grid_size, window):
+        grid = SpatialGrid(grid_size)
+        speeds = np.linspace(-1.0, 1.0, 40)
+        spectrum = AdvectionSpectrum(speeds, rich_states(40, grid_size), window, grid,
+                                     default_step(grid))
+        marched = spectrum.march(np.arange(grid_size // 2 + 1))
+        energy = np.sum(marched.real ** 2 + marched.imag ** 2, axis=1)
+        assert spectrum.energy.shape == energy.shape == (len(window.output_times),
+                                                         grid_size // 2 + 1)
+        above = energy > 1e-20 * energy.sum()
+        assert 30 <= np.count_nonzero(above[-1]) < grid_size // 2
+        np.testing.assert_allclose(spectrum.energy[above], energy[above], rtol=1e-12)
+
+    @pytest.mark.parametrize("window", [TimeWindow.with_uniform_outputs(0.0, 1.0, 11),
+                                        ragged_window()], ids=["uniform", "ragged"])
+    def test_march_is_the_spectrum_of_integrate_advection(self, window):
+        grid = SpatialGrid(64)
+        speeds = np.linspace(-1.0, 1.0, 7)
+        initial = rich_states(7, 64)
+        states = integrate_advection(speeds, initial, window, grid, default_step(grid))
+        marched = AdvectionSpectrum(speeds, initial, window, grid,
+                                    default_step(grid)).march(np.arange(33))
+        back = np.fft.irfft(marched, n=64, axis=-1)
+        np.testing.assert_allclose(back[0], states[0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(back[1:], states[1:])
+        # a subset of the modes is marched the same
+        picked = AdvectionSpectrum(speeds, initial, window, grid,
+                                   default_step(grid)).march(np.array([1, 5, 32]))
+        np.testing.assert_array_equal(picked, marched[..., [1, 5, 32]])
+
+    def test_cfl_is_checked_before_any_other_work(self):
+        grid = SpatialGrid(64)
+        initial = np.full((2, 64), np.nan)
+        with pytest.raises(ValueError, match="CFL"):
+            AdvectionSpectrum(np.array([-1.0, 1.0]), initial, TimeWindow(0.0, 1.0), grid,
+                              0.51 * grid.spacing)
+
+    def test_rejects_initial_of_wrong_shape(self):
+        grid = SpatialGrid(32)
+        with pytest.raises(ValueError, match="expected"):
+            AdvectionSpectrum(np.zeros(3), np.zeros((2, 32)), TimeWindow(0.0, 1.0), grid,
+                              1e-2)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200], ids=["nan", "inf", "huge"])
+    def test_non_finite_energy_diverges_at_an_output_time(self, entry):
+        grid = SpatialGrid(32)
+        window = TimeWindow.with_uniform_outputs(1.0, 2.0, 6)
+        initial = np.ones((3, 32))
+        initial[1, 4] = entry
+        with pytest.raises(IntegrationDiverged) as info, np.errstate(all="ignore"):
+            AdvectionSpectrum(np.array([-0.5, 0.1, 0.9]), initial, window, grid, 1e-2)
+        assert info.value.time == 1.0
+
+    def test_overflowing_running_sum_diverges_at_that_output(self):
+        # mode 0's squared modulus, 1.6e308, is finite at each output, but
+        # the sum of two outputs is not
+        grid = SpatialGrid(32)
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
+        initial = np.full((1, 32), 4e152)
+        with pytest.raises(IntegrationDiverged) as info, np.errstate(all="ignore"):
+            AdvectionSpectrum(np.array([0.0]), initial, window, grid, 1e-2)
+        assert info.value.time == pytest.approx(0.2)
 
 
 class TestReaction:

@@ -6,8 +6,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from empchaos import pod
-from empchaos.pde_core import SpatialGrid, TimeWindow, solve_ensemble
-from empchaos.pod import projection_residual, truncate_pod
+from empchaos.driver import EmpiricalConfig, run_schedule
+from empchaos.pde_core import (
+    AdvectionSpectrum,
+    SpatialGrid,
+    TimeWindow,
+    default_step,
+    solve_ensemble,
+    wave_problem,
+)
+from empchaos.pod import projection_residual, truncate_pod, truncate_spectrum
 from empchaos.random_space import chebyshev_nodes, trapezoid_rule
 
 
@@ -212,6 +220,95 @@ class TestFourierRows:
         assert whole.shape[0] < 32 * 11  # some modes dropped
         monkeypatch.setattr(pod, "_SPECTRUM_BYTES", per_chunk * 16 * 6 * 17)
         np.testing.assert_array_equal(pod._energetic_rows(trajectories), whole)
+
+
+SPECTRUM_CASES = ["window-0", "later-window", "odd-grid", "ragged", "cap-3", "every-mode"]
+
+
+def wave_window(case):
+    """(rule, grid, u_nodes, window, cap) of one wave resample window."""
+    rule = small_rule(120)
+    grid = SpatialGrid(127 if case == "odd-grid" else 128)
+    u_nodes = np.broadcast_to(np.cos(grid.points), (120, grid.point_count))
+    window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
+    if case == "later-window":
+        archive, _ = run_schedule(EmpiricalConfig(problem=wave_problem(), grid=grid,
+                                                  rule=rule, t_final=3.0))
+        before = archive.records[1]
+        u_nodes = before.basis.reconstruct(before.coefficients[-1])
+        window = archive.records[2].window
+    elif case == "ragged":
+        # outputs 0.1 apart to t = 10, then 0.037 apart to 10.37
+        times = np.concatenate([np.linspace(9.0, 10.0, 11), np.linspace(10.0, 10.37, 11)[1:]])
+        window = TimeWindow(9.0, 10.37, tuple(times))
+    elif case == "every-mode":
+        # mode m holds about 0.25^m of the energy, with a random phase per node
+        m = np.arange(1, 64)
+        phases = np.random.default_rng(4).uniform(0, 2 * np.pi, size=(120, m.size, 1))
+        u_nodes = np.einsum("m,kmx->kx", 0.5 ** m, np.cos(m[:, None] * grid.points + phases))
+    return rule, grid, u_nodes, window, 3 if case == "cap-3" else None
+
+
+class TestTruncateSpectrum:
+    """truncate_spectrum against truncate_pod of the sampled ensemble."""
+
+    @pytest.mark.parametrize("case", SPECTRUM_CASES)
+    def test_matches_truncate_pod_of_the_samples(self, case):
+        rule, grid, u_nodes, window, cap = wave_window(case)
+        step = default_step(grid)
+        trajectories = solve_ensemble(wave_problem(), rule.nodes, u_nodes, window, grid, step)
+        spectrum = AdvectionSpectrum(rule.nodes, u_nodes, window, grid, step)
+        # the same kept modes, in the same rows
+        rows = pod._energetic_rows(trajectories)
+        new_rows = pod._spectrum_rows(spectrum)
+        assert new_rows.shape == rows.shape
+        np.testing.assert_allclose(new_rows, rows, rtol=0, atol=1e-13 * np.abs(rows).max())
+        expected = truncate_pod(trajectories, 1e-4, rule, cap=cap)
+        basis = truncate_spectrum(spectrum, 1e-4, rule, cap=cap)
+        assert basis.size == expected.size
+        if cap is not None:
+            assert basis.size == cap
+        sigma = expected.singular_values
+        assert basis.singular_values.shape == sigma.shape
+        np.testing.assert_allclose(basis.singular_values, sigma, rtol=0, atol=1e-13 * sigma[0])
+        projector = basis.values @ basis.values.T - expected.values @ expected.values.T
+        assert np.linalg.norm(projector, 2) <= 1e-12
+
+    @pytest.mark.parametrize("case", SPECTRUM_CASES)
+    def test_eckart_young_on_the_sampled_trajectories(self, case):
+        rule, grid, u_nodes, window, cap = wave_window(case)
+        step = default_step(grid)
+        trajectories = solve_ensemble(wave_problem(), rule.nodes, u_nodes, window, grid, step)
+        basis = truncate_spectrum(AdvectionSpectrum(rule.nodes, u_nodes, window, grid, step),
+                                  1e-4, rule, cap=cap)
+        discarded = float(np.sqrt(np.sum(basis.singular_values[basis.size:] ** 2)))
+        scale = basis.singular_values[0]
+        assert abs(projection_residual(trajectories, basis) - discarded) <= 1e-10 * scale
+
+    def test_few_rows_skip_the_qr(self, monkeypatch):
+        # one kept mode of 11 output times gives 22 rows, fewer than 120 nodes
+        rule, grid, u_nodes, window, _ = wave_window("window-0")
+        spectrum = AdvectionSpectrum(rule.nodes, u_nodes, window, grid, default_step(grid))
+        assert pod._spectrum_rows(spectrum).shape == (22, 120)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("QR of rows that it cannot shrink")
+        monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+        assert truncate_spectrum(spectrum, 1e-4, rule).singular_values.shape == (120,)
+
+    def test_rejects_bad_threshold_and_node_count(self):
+        rule, grid, u_nodes, window, _ = wave_window("window-0")
+        spectrum = AdvectionSpectrum(rule.nodes, u_nodes, window, grid, default_step(grid))
+        with pytest.raises(ValueError, match="threshold"):
+            truncate_spectrum(spectrum, 1.0, rule)
+        with pytest.raises(ValueError, match="node count"):
+            truncate_spectrum(spectrum, 1e-4, small_rule(7))
+
+    def test_rejects_zero_spectrum(self):
+        rule, grid, _, window, _ = wave_window("window-0")
+        spectrum = AdvectionSpectrum(rule.nodes, np.zeros((120, 128)), window, grid, 1e-2)
+        with pytest.raises(ValueError, match="degenerate"):
+            truncate_spectrum(spectrum, 1e-4, rule)
 
 
 # (n_t = 3, K, M) trajectories
