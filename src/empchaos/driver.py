@@ -185,9 +185,9 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     trajectories from the current solution at the nodes (``u_nodes``) and
     truncates them by POD, ``evolve`` advances the previous basis by the
     matrix-exponential operator, ``hold`` keeps it. Without a reaction the
-    samples stay in Fourier space: ``sampling`` is one rfft of ``u_nodes``
-    and each mode's energy in closed form, ``svd`` the march of the kept
-    modes and the decomposition of their rows. A new basis gets its
+    samples stay in Fourier space: ``sampling`` is one rfft of ``u_nodes``,
+    ``svd`` each mode's energy in closed form, the march of the kept modes
+    and the decomposition of their rows. A new basis gets its
     Galerkin matrices and ``u_nodes`` projected onto it; then the window is
     propagated. On the reaction problem each resample window also chooses
     the points at which propagation evaluates the reaction, from the

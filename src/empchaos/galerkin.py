@@ -128,8 +128,10 @@ def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: Basis
     For the wave problem the operator mass^-1 * advection is diagonalized by
     the generalized eigenproblem advection * V = mass * V * diag(lam), which
     has real eigenvalues because both matrices are symmetric and the mass is
-    positive definite; V^T * mass * V = I gives V^-1 = V^T * mass, and
-    ``integrate_advection`` applies the RK4 steps in Fourier space.
+    positive definite; V^T * mass * V = I gives V^-1 = V^T * mass. The
+    eigen-coordinates V^-1 * c decouple, one speed lam_i each, and
+    ``integrate_advection`` marches them in Fourier space, checking the CFL
+    bound at the largest |lam_i|; V mixes the marched rows back.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (basis.size, grid.point_count):
@@ -151,8 +153,8 @@ def propagate_window(problem: PdeProblem, coefficients: np.ndarray, basis: Basis
                             node_values, matrices.solve(weighted))
         return integrate_ode(rhs, coefficients, window, step)
     lam, vecs = scipy.linalg.eigh(matrices.advection, matrices.mass)
-    return integrate_advection(lam, coefficients, window, grid, step,
-                               (vecs, vecs.T @ matrices.mass))
+    return vecs @ integrate_advection(lam, (vecs.T @ matrices.mass) @ coefficients,
+                                      window, grid, step)
 
 
 def _galerkin_rhs(problem: PdeProblem, advection: np.ndarray, grid: SpatialGrid,

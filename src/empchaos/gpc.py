@@ -19,6 +19,7 @@ from .pde_core import (
     PdeProblem,
     SpatialGrid,
     TimeWindow,
+    _advection_plan,
     default_step,
     integrate_ode,
 )
@@ -80,8 +81,12 @@ def solve_gpc(
     Each rhs call is one matmul of the pre-scaled operator [A / (2h) | L^T W]
     (``galerkin._galerkin_rhs``), A the exact coupling and L the Legendre
     table at the rule's nodes, which serve only the reaction. The step
-    defaults to ``default_step`` and is fitted to the output times. Returns
-    the (n_output_times, order, M) coefficients at ``window.output_times``.
+    defaults to ``default_step`` and is fitted to the output times. A's
+    eigenvectors decouple the advection, each advected at its eigenvalue
+    (the Gauss-Legendre nodes of ``order`` points), so a step whose CFL
+    number at the largest of them exceeds 1/2 is a ValueError, raised
+    before any work. Returns the (n_output_times, order, M) coefficients at
+    ``window.output_times``.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -91,15 +96,16 @@ def solve_gpc(
             RuntimeWarning,
             stacklevel=2,
         )
+    if step is None:
+        step = default_step(grid)
+    coupling = legendre_advection_matrix(order)
+    _advection_plan(np.linalg.eigvalsh(coupling), window, grid, step)
     if rule is None:
         rule = default_rule()
     table = legendre_table(order, rule.nodes)
-    rhs = _galerkin_rhs(problem, legendre_advection_matrix(order), grid, table,
-                        (rule.weights[:, None] * table).T)
+    rhs = _galerkin_rhs(problem, coupling, grid, table, (rule.weights[:, None] * table).T)
     initial = np.zeros((order, grid.point_count))
     initial[0] = problem.initial_condition(grid.points)
-    if step is None:
-        step = default_step(grid)
     return integrate_ode(rhs, initial, window, step)
 
 

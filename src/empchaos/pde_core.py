@@ -13,10 +13,11 @@ in cache-sized blocks of samples, each held sample-major, on one thread per
 CPU; the blocks are equal and their count a multiple of the thread count, so
 no thread idles while another marches the last block. The wave operator is
 linear and its central difference is circulant, so its RK4 steps are applied
-in Fourier space: each mode is multiplied by a power of the RK4 stability
-polynomial, which gives the marched solution without the march, and
-``AdvectionSpectrum`` keeps such an ensemble in Fourier space, with each
-mode's energy in closed form and only the modes asked for marched. The two
+in Fourier space, where each mode is multiplied by a power of the RK4
+stability polynomial: ``AdvectionSpectrum`` is that one Fourier march, of
+the modes asked for, with each mode's energy in closed form when read, and
+``integrate_advection`` is its march in every mode put back on the grid.
+Each kernel plans once and checks its step before it marches. The two
 ensemble kernels hand the states at each output time to a ``record``
 callable, in row order, so a caller can reduce them as they come instead of
 holding every output; an ensemble with a ``record`` is marched on one
@@ -25,10 +26,11 @@ thread, in blocks of a fixed size.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -260,16 +262,13 @@ def _recorder(window: TimeWindow, shape: tuple,
 STEP_ENTRY_LIMIT = 10**10
 
 
-def _plan_march(window: TimeWindow, step: float,
-                entries: int) -> list[tuple[float, int]]:
-    """``_plan_steps``, rejecting a plan of more than ``STEP_ENTRY_LIMIT``
-    steps times ``entries`` state entries as a ValueError."""
-    plan = _plan_steps(window, step)
+def _check_entries(plan: list[tuple[float, int]], entries: int) -> None:
+    """Reject a plan of more than ``STEP_ENTRY_LIMIT`` steps times ``entries``
+    state entries as a ValueError."""
     n_steps = sum(n for _, n in plan)
     if n_steps * entries > STEP_ENTRY_LIMIT:
         raise ValueError(f"{n_steps} steps of {entries} state entries exceed the "
                          f"limit of {STEP_ENTRY_LIMIT:.0e}; increase the step")
-    return plan
 
 
 def integrate_ode(
@@ -292,7 +291,8 @@ def integrate_ode(
     times, an (n_output_times,) + initial.shape array.
     """
     state = np.array(initial, dtype=float, order="C")
-    plan = _plan_march(window, step, state.size)
+    plan = _plan_steps(window, step)
+    _check_entries(plan, state.size)
     out, record = _recorder(window, state.shape, None)
     _march(rhs, state, np.empty((5,) + state.shape), window, plan, True, record)
     return out
@@ -365,78 +365,23 @@ def _advection_plan(speeds: np.ndarray, window: TimeWindow, grid: SpatialGrid,
     return plan
 
 
-def integrate_advection(
-    speeds: np.ndarray,
-    initial: np.ndarray,
-    window: TimeWindow,
-    grid: SpatialGrid,
-    step: float,
-    eigenvectors: tuple[np.ndarray, np.ndarray] | None = None,
-    check: bool = True,
-    record: Record | None = None,
-) -> np.ndarray | None:
-    """Classical fixed-step RK4 for u_t = V * diag(speeds) * V^-1 * (D u).
-
-    ``initial`` holds one state of length M per row; D is the periodic central
-    difference along the rows and V^-1 (by default the identity) mixes the
-    rows. In Fourier mode k, D is multiplication by i*sin(k*h)/h, so in the
-    eigenvector coordinates one RK4 step multiplies each entry by the
-    stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
-    z = i*speed*dt*sin(k*h)/h, and n steps by R(z)^n (``_growth``, which
-    ``AdvectionSpectrum.march`` shares); one power is computed per distinct
-    (dt, n) of the plan. The steps are planned as in ``integrate_ode``, and
-    an output at the start is the initial state itself. With ``check``, a
-    non-finite output raises ``IntegrationDiverged`` at its output time.
-    Each output's rows go to ``record(j, 0, rows)``; by default they are
-    written into the returned (n_output_times, K, M) array. The Galerkin
-    propagation (with ``eigenvectors``) and Monte Carlo (with a ``record``)
-    march here; the wave's POD windows do not, since ``AdvectionSpectrum``
-    gives them the spectrum without the transform back to the grid.
-    """
-    state = np.array(initial, dtype=float)
-    speeds = np.asarray(speeds, dtype=float)
-    if state.shape != (speeds.size, grid.point_count):
-        raise ValueError(f"initial has shape {state.shape}, expected "
-                         f"({speeds.size}, {grid.point_count})")
-    plan = _plan_steps(window, step)
-    out, record = _recorder(window, state.shape, record)
-    rates = _rates(speeds, grid)
-    powers = {}
-    spectrum = np.fft.rfft(state, axis=-1)
-    if eigenvectors is not None:
-        vecs, inv_vecs = eigenvectors
-        spectrum = inv_vecs @ spectrum
-    for j, (dt, n) in enumerate(plan):
-        if n == 0:
-            record(j, 0, state)
-            continue
-        if (dt, n) not in powers:
-            powers[dt, n] = _growth(1j * dt * rates) ** n
-        spectrum *= powers[dt, n]
-        mixed = spectrum if eigenvectors is None else vecs @ spectrum
-        rows = np.fft.irfft(mixed, n=grid.point_count, axis=-1)
-        if check and not np.all(np.isfinite(rows)):
-            raise IntegrationDiverged(window.output_times[j])
-        record(j, 0, rows)
-    return out
-
-
 class AdvectionSpectrum:
-    """The wave ensemble of ``solve_ensemble`` kept in Fourier space, marched
-    only in the modes asked for.
+    """The wave ensemble in Fourier space, where its RK4 steps are applied:
+    the one Fourier march, which ``integrate_advection`` puts back on the grid.
 
     For one speed the advection is diagonal in the Fourier modes: one RK4
     step multiplies mode k by R(iy) (``_growth``), with y = speed*dt*sin(k*h)/h,
     and so its squared modulus by |R(iy)|^2 (``_growth_energy``). Built from
-    the (K, M) states ``initial`` at the K ``speeds``, after the CFL check of
-    ``solve_ensemble`` and before any other work, it takes one rfft along x
-    and works out ``energy`` in closed form: the (n_output_times, M//2 + 1)
-    sum over the samples of each mode's squared modulus at each output, on
-    the plan of ``_plan_steps``. A non-finite energy, or one whose running sum
+    the (K, M) states ``initial`` at the K ``speeds``, it plans the steps and
+    checks the CFL bound (``_advection_plan``) before any other work, then
+    takes one rfft along x. ``march(modes)`` returns the (n_output_times, K,
+    len(modes)) spectrum of those modes, marched in place in one buffer, with
+    one power R(z)^n per distinct (dt, n) of the plan.
+    ``energy``, worked out in closed form on first read, is the
+    (n_output_times, M//2 + 1) sum over the samples of each mode's squared
+    modulus at each output; a non-finite energy, or one whose running sum
     over the outputs overflows, raises ``IntegrationDiverged`` at the first
-    output time at which it does. ``march(modes)`` returns those modes'
-    (n_output_times, K, len(modes)) spectrum as ``integrate_advection``
-    marches it, with no transform back to the grid.
+    output time at which it does.
     """
 
     def __init__(self, speeds: np.ndarray, initial: np.ndarray, window: TimeWindow,
@@ -447,31 +392,74 @@ class AdvectionSpectrum:
             raise ValueError(f"initial has shape {initial.shape}, expected "
                              f"({speeds.size}, {grid.point_count})")
         self.plan = _advection_plan(speeds, window, grid, step)
+        self.window = window
         self.grid = grid
         self.rates = _rates(speeds, grid)
         self.spectrum = np.fft.rfft(initial, axis=-1)
+
+    @functools.cached_property
+    def energy(self) -> np.ndarray:
         power = self.spectrum.real ** 2 + self.spectrum.imag ** 2
-        self.energy = np.empty((len(self.plan), power.shape[1]))
+        energy = np.empty((len(self.plan), power.shape[1]))
         gains = {}
         for j, (dt, n) in enumerate(self.plan):
             if n:
                 if (dt, n) not in gains:
                     gains[dt, n] = _growth_energy(dt * self.rates) ** n
                 power *= gains[dt, n]
-            power.sum(axis=0, out=self.energy[j])
-        finite = np.isfinite(np.cumsum(self.energy.sum(axis=1)))
+            power.sum(axis=0, out=energy[j])
+        finite = np.isfinite(np.cumsum(energy.sum(axis=1)))
         if not finite.all():
-            raise IntegrationDiverged(window.output_times[int(np.argmin(finite))])
+            raise IntegrationDiverged(self.window.output_times[int(np.argmin(finite))])
+        return energy
 
     def march(self, modes: np.ndarray) -> np.ndarray:
-        spectrum = self.spectrum[:, modes]
-        rates = self.rates[:, modes]
-        out = np.empty((len(self.plan),) + spectrum.shape, dtype=complex)
-        for j, (dt, n) in enumerate(self.plan):
+        return np.stack([spectrum.copy() for spectrum in self._marched(modes)])
+
+    def _marched(self, modes: np.ndarray) -> Iterator[np.ndarray]:
+        """The spectrum of ``modes`` at each output in turn, in one buffer
+        marched in place. ``np.take`` keeps it C-ordered, as are the rows
+        that an irfft of it returns and callers reduce."""
+        spectrum = np.take(self.spectrum, modes, axis=1)
+        rates = np.take(self.rates, modes, axis=1)
+        powers = {}
+        for dt, n in self.plan:
             if n:
-                spectrum *= _growth(1j * dt * rates) ** n
-            out[j] = spectrum
-        return out
+                if (dt, n) not in powers:
+                    powers[dt, n] = _growth(1j * dt * rates) ** n
+                spectrum *= powers[dt, n]
+            yield spectrum
+
+
+def integrate_advection(
+    speeds: np.ndarray,
+    initial: np.ndarray,
+    window: TimeWindow,
+    grid: SpatialGrid,
+    step: float,
+    check: bool = True,
+    record: Record | None = None,
+) -> np.ndarray | None:
+    """Classical fixed-step RK4 for u_t = speed * (D u), one speed per row of
+    ``initial``, D the periodic central difference: the march of
+    ``AdvectionSpectrum`` in every mode, each output put back on the grid by
+    one irfft. An output at the start is the initial state itself. With
+    ``check``, a non-finite output raises ``IntegrationDiverged`` at its
+    output time. Each output's rows go to ``record(j, 0, rows)``; by default
+    they are written into the returned (n_output_times, K, M) array.
+    """
+    initial = np.asarray(initial, dtype=float)
+    spectrum = AdvectionSpectrum(speeds, initial, window, grid, step)
+    out, record = _recorder(window, initial.shape, record)
+    for j, marched in enumerate(spectrum._marched(np.arange(grid.point_count // 2 + 1))):
+        if spectrum.plan[j] == (0.0, 0):
+            record(j, 0, initial)
+            continue
+        rows = np.fft.irfft(marched, n=grid.point_count, axis=-1)
+        if check and not np.all(np.isfinite(rows)):
+            raise IntegrationDiverged(window.output_times[j])
+        record(j, 0, rows)
+    return out
 
 
 # The blocks of samples of ``integrate_reaction``, in state entries (samples
@@ -554,7 +542,9 @@ def integrate_reaction(
     that march them, at most one per CPU, since numpy releases the
     interpreter lock inside each array operation; so the partition depends
     on the CPU count, but every row is marched by the same element-wise
-    arithmetic in any block, and the states do not. With ``check``, raises
+    arithmetic in any block, and the states do not. The CFL bound
+    (``_advection_plan``) and the limit on steps times the entries of the
+    largest block are checked before any marching. With ``check``, raises
     ``IntegrationDiverged`` at the earliest step at which any row is
     non-finite. By default the states are written into the returned
     (n_output_times, K, M) array. With a ``record``, the blocks are of
@@ -567,12 +557,13 @@ def integrate_reaction(
     if initial.shape != (speeds.size, grid.point_count):
         raise ValueError(f"initial has shape {initial.shape}, expected "
                          f"({speeds.size}, {grid.point_count})")
+    plan = _advection_plan(speeds, window, grid, step)
     cpus = None if record is not None else _cpu_count()
     blocks = _blocks(speeds.size, grid.point_count, cpus)
     threads = min(cpus or 1, len(blocks))
-    states, record = _recorder(window, initial.shape, record)
     entries = max((b.stop - b.start for b in blocks), default=0) * grid.point_count
-    plan = _plan_march(window, step, entries)
+    _check_entries(plan, entries)
+    states, record = _recorder(window, initial.shape, record)
     scaled = speeds / (2.0 * grid.spacing)
     # one workspace per thread, allocated here: buffers that a pool thread
     # allocates stay in that thread's malloc arena and raise the peak memory.
@@ -635,32 +626,24 @@ def solve_ensemble(
 
     The samples do not couple, so the stacked RK4 solve performs exactly the
     per-sample arithmetic: through ``integrate_advection`` for the wave
-    problem, and through ``integrate_reaction``, which marches the samples
-    in cache-sized blocks held sample-major, on several threads without a
-    ``record``, for the advection-reaction problem. ``initial`` is either
-    one state of length M (shared by all samples) or an array of shape
-    (K, M). The step (by default ``default_step``) is fitted to the output
-    times, and the CFL bound is checked against the longest step of the
-    plan (``_advection_plan``, which ``AdvectionSpectrum`` also checks
-    first), before any marching; the kernels plan the same steps from the
-    same ``step``. Returns (n_output_times, K, M), or hands the states to
-    ``record`` as the kernels describe: all rows at once on the wave, and
-    block by block in row order, on one thread, on the advection-reaction
-    problem.
+    problem, and through ``integrate_reaction`` for the advection-reaction
+    problem. ``initial`` is either one state of length M, shared by all
+    samples, or an array of shape (K, M); the step defaults to
+    ``default_step``. The kernel checks the shape, plans the steps and
+    checks the CFL bound before any marching. Returns (n_output_times, K,
+    M), or hands the states to ``record`` as the kernels describe: all rows
+    at once on the wave, and block by block in row order, on one thread, on
+    the advection-reaction problem.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     initial = np.asarray(initial, dtype=float)
     if initial.ndim == 1:
-        initial = np.broadcast_to(initial, (xis.size, initial.size)).copy()
-    if initial.shape != (xis.size, grid.point_count):
-        raise ValueError(f"initial has shape {initial.shape}, expected ({xis.size}, {grid.point_count})")
+        initial = np.broadcast_to(initial, (xis.size, initial.size))
     step = default_step(grid) if step is None else step
-    _advection_plan(xis, window, grid, step)
-    if not problem.has_reaction:
-        return integrate_advection(xis, initial, window, grid, step, check=check,
-                                   record=record)
-    return integrate_reaction(problem, xis, initial, window, grid, step, check=check,
-                              record=record)
+    if problem.has_reaction:
+        return integrate_reaction(problem, xis, initial, window, grid, step, check=check,
+                                  record=record)
+    return integrate_advection(xis, initial, window, grid, step, check=check, record=record)
 
 
 def wave_exact_mean_square(t, x: float = 0.0):

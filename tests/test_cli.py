@@ -483,6 +483,17 @@ class TestRunCommand:
         assert "step" in manifest["error"].lower()
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_gpc_step_beyond_the_cfl_bound_exits_validation(self, tmp_path):
+        # a 0.1 step on 256 points is CFL 3.97 at the largest node of the
+        # default order's Gauss-Legendre rule, the speed of its fastest mode
+        code = cli.main(["run", "--solver", "gpc", "--grid-size", "256", "--step", "0.1",
+                         "--t-final", "1", "--output-dir", str(tmp_path)])
+        assert code == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "invalid-input"
+        assert "CFL number 3.968" in manifest["error"]
+        assert not (tmp_path / "mean_square.csv").exists()
+
     def test_step_is_fitted_to_the_output_times(self, tmp_path):
         def run(step):
             out = tmp_path / step

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from empchaos import gpc
 from empchaos.gpc import (
     default_rule,
     legendre_advection_matrix,
@@ -88,6 +89,20 @@ class TestSolveGpc:
         coefficients = solve_gpc(wave, 12, grid, window, 1e-3)
         energy = grid.spacing * np.sum(coefficients**2, axis=(1, 2))
         assert abs(energy[-1] - energy[0]) / energy[0] < 1e-6
+
+    def test_cfl_checked_at_the_coupling_eigenvalues_before_the_march(self, wave,
+                                                                         monkeypatch):
+        def no_march(*args):
+            raise AssertionError("marched")
+        monkeypatch.setattr(gpc, "integrate_ode", no_march)
+        # order 12's largest Gauss-Legendre node, 0.981, at a step of 0.1 on
+        # 256 points: CFL 4.0
+        with pytest.raises(ValueError, match="CFL number 3.999"):
+            solve_gpc(wave, 12, SpatialGrid(256), TimeWindow(0.0, 1.0), 0.1)
+        # one step of 0.11 on 32 points is CFL 0.560 at speed 1, but 0.482 at
+        # order 4's largest node, 0.861: within the bound, so it is marched
+        with pytest.raises(AssertionError, match="marched"):
+            solve_gpc(wave, 4, SpatialGrid(32), TimeWindow(0.0, 0.11), 0.11)
 
     def test_warns_above_stable_order(self, wave):
         grid = SpatialGrid(16)

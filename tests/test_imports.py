@@ -1,7 +1,7 @@
 """Every name that a module under src/ or tests/ imports is read in it,
 every name in a package module's ``__all__`` is bound in that module, and
-every module-level function and class under src/ is read somewhere in src/
-or listed in its module's ``__all__``."""
+every module-level function, class and constant under src/ is read
+somewhere in src/ or listed in its module's ``__all__``."""
 
 import ast
 import collections
@@ -43,9 +43,10 @@ def _exported(tree: ast.Module) -> set[str]:
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each module-level function or class in ``sources``
-    (module name to source) that no source reads, as a name or an
-    attribute, and whose module does not list it in ``__all__``."""
+    """``module.name`` of each module-level function, class or assigned name
+    (dunder names excepted) in ``sources`` (module name to source) that no
+    source reads, as a name or an attribute, and whose module does not list
+    it in ``__all__``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = collections.Counter()
     for tree in trees.values():
@@ -54,11 +55,22 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     for module, tree in trees.items():
         exported = _exported(tree)
         # a definition's reads of its own name (recursion) do not count
-        unread += [f"{module}.{node.name}" for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                   and node.name not in exported
-                   and read[node.name] == _reads(node)[node.name]]
+        unread += [f"{module}.{name}" for name, node in _definitions(tree)
+                   if name not in exported and read[name] == _reads(node)[name]]
     return sorted(unread)
+
+
+def _definitions(tree: ast.Module):
+    """(name, statement) of each module-level function, class and assigned
+    name, dunder names excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((name.id, node) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                        and not (name.id.startswith("__") and name.id.endswith("__")))
 
 
 def _reads(tree: ast.AST) -> collections.Counter:
@@ -71,12 +83,15 @@ def _reads(tree: ast.AST) -> collections.Counter:
 
 def test_checker_finds_an_unread_definition():
     sources = {
-        "a": "__all__ = ['public']\ndef public(): return _helper()\n"
-             "def _helper(): pass\ndef _leftover(): pass\nclass _Old: pass\n",
+        "a": "__all__ = ['public', 'LIMIT']\ndef public(): return _helper(_SIZE)\n"
+             "def _helper(n): pass\ndef _leftover(): pass\nclass _Old: pass\n"
+             "LIMIT = 3\n_SIZE = 4\n_STALE, _PAIRED = 5, 6\n_TYPED: int = 7\n"
+             "__version__ = '1'\n",
         "b": "from a import public\nimport a\ndef _used(): pass\nx = a.b._used\n"
-             "def _recursive(): return _recursive()\n",
+             "def _recursive(): return _recursive()\nx.y = a._PAIRED\n",
     }
-    assert unread_definitions(sources) == ["a._Old", "a._leftover", "b._recursive"]
+    assert unread_definitions(sources) == ["a._Old", "a._STALE", "a._TYPED", "a._leftover",
+                                           "b._recursive"]
 
 
 def test_every_definition_under_src_is_read():

@@ -30,6 +30,7 @@ from empchaos.pde_core import (
     wave_exact_mean,
     wave_exact_mean_square,
 )
+from empchaos.montecarlo import McConfig, mc_statistics
 from empchaos.pod import truncate_pod
 
 
@@ -358,15 +359,34 @@ class TestIntegrateAdvection:
                                      grid, 1e-2)
         np.testing.assert_array_equal(states[0], initial)
 
+    def test_recorded_rows_are_c_ordered(self):
+        # the Monte Carlo reducer's sums, and so its output bits, follow the layout
+        grid = SpatialGrid(32)
+        layouts = []
+        integrate_advection(np.array([-1.0, 0.2, 0.9]), np.ones((3, 32)),
+                            TimeWindow.with_uniform_outputs(0.0, 1.0, 3), grid, 1e-2,
+                            record=lambda j, first, rows: layouts.append(rows.flags.c_contiguous))
+        assert layouts == [True] * 3
+
     def test_wave_cfl_guard_still_fires(self, wave):
         grid = SpatialGrid(64)
         with pytest.raises(ValueError, match="CFL"):
             solve_ensemble(wave, np.array([-1.0, 1.0]), np.cos(grid.points),
                            TimeWindow(0.0, 1.0), grid, step=0.51 * grid.spacing)
 
+    def test_cfl_checked_before_the_march(self, monkeypatch):
+        def no_march(z):
+            raise AssertionError("marched before the CFL check")
+        monkeypatch.setattr(pde_core, "_growth", no_march)
+        grid = SpatialGrid(64)
+        with pytest.raises(ValueError, match="CFL number 0.509"):
+            integrate_advection(np.array([-1.0, 1.0]), np.ones((2, 64)), TimeWindow(0.0, 1.0),
+                                grid, 0.51 * grid.spacing)
+
     def test_output_time_off_step_boundary(self):
         grid = SpatialGrid(32)
-        speeds = np.array([-0.3, 0.5])
+        # slow enough that the 0.667 step stays within the CFL bound (0.17)
+        speeds = np.array([-0.03, 0.05])
         initial = np.random.default_rng(5).normal(size=(2, 32))
         for outputs, step in [
             # 0.333 is off the 0.25 grid: two runs, of 2 and then 3 steps
@@ -474,9 +494,28 @@ class TestAdvectionSpectrum:
         window = TimeWindow.with_uniform_outputs(1.0, 2.0, 6)
         initial = np.ones((3, 32))
         initial[1, 4] = entry
+        spectrum = AdvectionSpectrum(np.array([-0.5, 0.1, 0.9]), initial, window, grid, 1e-2)
         with pytest.raises(IntegrationDiverged) as info, np.errstate(all="ignore"):
-            AdvectionSpectrum(np.array([-0.5, 0.1, 0.9]), initial, window, grid, 1e-2)
+            spectrum.energy
         assert info.value.time == 1.0
+
+    def test_energy_is_worked_out_only_when_read(self, wave, rule_120, monkeypatch):
+        grid = SpatialGrid(128)
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 11)
+        basis = sampled_pod_basis(wave, rule_120, grid, window)
+        matrices = assemble_matrices(basis)
+
+        def no_energy(y):
+            raise AssertionError("mode energy worked out unread")
+        monkeypatch.setattr(pde_core, "_growth_energy", no_energy)
+        propagate_window(wave, initial_field(basis, grid, matrices), basis, window, grid,
+                         1e-2, matrices)
+        result = mc_statistics(McConfig(problem=wave, grid=grid, window=window,
+                                        sample_count=200))
+        assert result.workers == 1 and result.sample_count == 200
+        spectrum = AdvectionSpectrum(rule_120.nodes, np.ones((120, 128)), window, grid, 1e-2)
+        with pytest.raises(AssertionError, match="unread"):
+            spectrum.energy
 
     def test_overflowing_running_sum_diverges_at_that_output(self):
         # mode 0's squared modulus, 1.6e308, is finite at each output, but
@@ -484,8 +523,9 @@ class TestAdvectionSpectrum:
         grid = SpatialGrid(32)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 6)
         initial = np.full((1, 32), 4e152)
+        spectrum = AdvectionSpectrum(np.array([0.0]), initial, window, grid, 1e-2)
         with pytest.raises(IntegrationDiverged) as info, np.errstate(all="ignore"):
-            AdvectionSpectrum(np.array([0.0]), initial, window, grid, 1e-2)
+            spectrum.energy
         assert info.value.time == pytest.approx(0.2)
 
 
@@ -756,6 +796,17 @@ class TestIntegrateReaction:
         with pytest.raises(ValueError, match="exceed the limit"):
             integrate_reaction(advection_reaction, speeds, initial, window, grid, 1e-2)
         assert len(blocks) == 2
+
+    @pytest.mark.parametrize("record", [None, lambda j, first, rows: None],
+                             ids=["threads", "record"])
+    def test_cfl_checked_before_the_march(self, advection_reaction, monkeypatch, record):
+        grid = SpatialGrid(64)
+        blocks = marched_blocks(monkeypatch)
+        with pytest.raises(ValueError, match="CFL number 0.509"):
+            integrate_reaction(advection_reaction, np.array([-1.0, 1.0]), np.ones((2, 64)),
+                               TimeWindow(0.0, 1.0), grid, 0.51 * grid.spacing,
+                               record=record)
+        assert blocks == []
 
     def test_march_without_an_affinity_mask(self, advection_reaction, monkeypatch):
         # where the platform has none (macOS, Windows), every CPU counts

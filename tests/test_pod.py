@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from empchaos import pod
+from empchaos import pde_core, pod
 from empchaos.driver import EmpiricalConfig, run_schedule
 from empchaos.pde_core import (
     AdvectionSpectrum,
@@ -295,6 +295,20 @@ class TestTruncateSpectrum:
             raise AssertionError("QR of rows that it cannot shrink")
         monkeypatch.setattr(scipy.linalg, "qr", no_qr)
         assert truncate_spectrum(spectrum, 1e-4, rule).singular_values.shape == (120,)
+
+    def test_one_power_per_distinct_step(self, monkeypatch):
+        # 11 uniform outputs from the start: every output takes the same (dt, n)
+        rule, grid, u_nodes, window, _ = wave_window("window-0")
+        spectrum = AdvectionSpectrum(rule.nodes, u_nodes, window, grid, default_step(grid))
+        assert len(set(spectrum.plan[1:])) == 1
+        calls, growth = [], pde_core._growth
+
+        def counted(z):
+            calls.append(z.shape)
+            return growth(z)
+        monkeypatch.setattr(pde_core, "_growth", counted)
+        truncate_spectrum(spectrum, 1e-4, rule)
+        assert len(calls) == 1
 
     def test_rejects_bad_threshold_and_node_count(self):
         rule, grid, u_nodes, window, _ = wave_window("window-0")
