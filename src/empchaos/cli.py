@@ -5,12 +5,13 @@ and JSON artifacts, times the pipeline stages, runs wall-clock scaling studies
 over a set of final times, and compares statistic time series between runs.
 
 Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
-config file or series CSV, or input the solver rejects (such as a step that
-breaks the CFL bound, or a step so small that a march would exceed
-``pde_core.STEP_ENTRY_LIMIT``), 2 solver divergence, an ill-conditioned
-basis, a failed basis evolution (a Gram block that is singular or not
-positive definite) or a Monte Carlo worker process that died, 3 comparison
-failure. scaling-study exits 1 and 2 on the same errors, without a manifest.
+config file or series CSV, an unwritable output path, or input the solver
+rejects (such as a step that breaks the CFL bound, or a step so small that a
+march would exceed ``pde_core.STEP_ENTRY_LIMIT``), 2 solver divergence, an
+ill-conditioned basis, a failed basis evolution (a Gram block that is
+singular or not positive definite) or a Monte Carlo worker process that
+died, 3 comparison failure. scaling-study exits 1 and 2 on the same errors,
+without a manifest.
 """
 
 from __future__ import annotations
@@ -204,13 +205,12 @@ def _read_text(path: str) -> str:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config from an optional JSON file with flag values overriding fields."""
+    """Config from an optional JSON file with flag values overriding fields; unvalidated."""
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     for field_obj in dataclasses.fields(ExperimentConfig):
         value = getattr(args, field_obj.name, None)
         if value is not None:
             setattr(config, field_obj.name, value)
-    config.validate()
     return config
 
 
@@ -218,18 +218,32 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_text(path: str, text: str) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _make_output_dir(path: str) -> None:
+    """Create ``path`` and its parents; one that cannot be made is a ConfigError."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc})") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    """Atomic write: temp file in the same directory, given the mode a plain
+    ``open`` gives (mkstemp's is 0600), then rename; failing is a ConfigError."""
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                os.fchmod(handle.fileno(), 0o666 & ~umask)
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc})") from exc
 
 
 def write_series(path: str, times, values, stderr=None) -> None:
@@ -443,7 +457,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     config.validate()
     emp_config = _empirical_config(config)
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
+    _make_output_dir(out)
     manifest = {
         "version": __version__,
         "python": platform.python_version(),
@@ -550,6 +564,8 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
         raise ConfigError("horizons: every value must exceed t_start")
     if not (math.isfinite(order_factor) and order_factor > 0):
         raise ConfigError("order_factor: must be positive and finite")
+    # the study runs to each horizon, never to the config's own t_final
+    config = dataclasses.replace(config, t_final=horizons[-1])
     config.validate()
 
     base = _empirical_config(config)
@@ -592,7 +608,7 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
 
 
 def write_scaling_artifacts(report: dict, out: str) -> None:
-    os.makedirs(out, exist_ok=True)
+    _make_output_dir(out)
     columns = list(report["rows"][0])
     lines = [",".join(columns)]
     lines += [",".join(_format(row[name]) for name in columns) for row in report["rows"]]

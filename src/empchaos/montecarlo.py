@@ -10,14 +10,15 @@ chunk's count, mean and M2 (sum of squared deviations) of u and u^2. A
 process returns only these moments, and they are merged in chunk order by
 the pairwise update of Chan, Golub and LeVeque (1983). So the result does
 not depend on the number of processes or CPUs, and identical seed and
-configuration give bit-identical results.
+configuration give bit-identical results. A worker gets the problem less its
+initial condition, which may be an unpicklable lambda, and the initial state.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,19 +151,16 @@ class _ChunkReducer:
             first, self.mean[:, j], self.m2[:, j], len(rows), mean, m2)
 
 
-def _chunk_moments(kind: str, reaction_coefficient: float, reaction_exponent: float,
-                   u0: np.ndarray, window: TimeWindow, grid: SpatialGrid, step: float | None,
-                   xi: np.ndarray) -> _Moments:
+def _chunk_moments(problem: PdeProblem, u0: np.ndarray, window: TimeWindow,
+                   grid: SpatialGrid, step: float | None, xi: np.ndarray) -> _Moments:
     """Solve one chunk of samples and return its moments, never its states.
 
     A sample that is not finite at some output time is left out of every
     output time and of the count: the chunk is marched again without it.
-    The problem comes as its fields and ``u0`` as an array, because an
-    initial condition may be a lambda, which cannot be sent to a worker.
+    ``problem`` comes without its initial condition and ``u0`` as an array,
+    because an initial condition may be a lambda, which cannot be sent to a
+    worker.
     """
-    problem = PdeProblem(kind, initial_condition=None,
-                         reaction_coefficient=reaction_coefficient,
-                         reaction_exponent=reaction_exponent)
     shape = (len(window.output_times), grid.point_count)
     keep = np.ones(xi.size, dtype=bool)
     while keep.any():
@@ -193,9 +191,8 @@ def mc_statistics(config: McConfig) -> McResult:
     xi = _draw_samples(config)
     problem = config.problem
     u0 = np.asarray(problem.initial_condition(config.grid.points), dtype=float)
-    solve = functools.partial(_chunk_moments, problem.kind, problem.reaction_coefficient,
-                              problem.reaction_exponent, u0, config.window, config.grid,
-                              config.step)
+    solve = functools.partial(_chunk_moments, replace(problem, initial_condition=None),
+                              u0, config.window, config.grid, config.step)
     chunks = [xi[start:start + config.chunk_size]
               for start in range(0, xi.size, config.chunk_size)]
     workers = min(_cpu_count(), len(chunks))

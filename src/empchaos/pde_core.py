@@ -1,6 +1,7 @@
-"""Deterministic method-of-lines solvers for the two model problems.
+"""Deterministic method-of-lines solvers for the model SPDE u_t = xi*u_x +
+c*|u|^p, whose c = 0 member is the wave problem.
 
-Both problems live on a periodic uniform grid over [0, 2*pi). The advection
+The problem lives on a periodic uniform grid over [0, 2*pi). The advection
 speed is the random variable, so for a fixed sample the PDE is deterministic
 and is integrated with classical fixed-step RK4. Both RK4 kernels fit the
 requested step to the window's output times through one planner: each run
@@ -81,33 +82,23 @@ class SpatialGrid:
         return self.spacing * np.arange(self.point_count)
 
 
-WAVE = "Wave"
-ADVECTION_REACTION = "AdvectionReaction"
-
-
 @dataclass(frozen=True)
 class PdeProblem:
-    """One of the two model SPDEs: u_t = xi*u_x (+ c*|u|^p for the
-    advection-reaction variant)."""
+    """The model SPDE u_t = xi*u_x + c*|u|^p. The wave problem is its c = 0
+    member; the reaction coefficient c alone picks the solver path."""
 
-    kind: str
     initial_condition: Callable[[np.ndarray], np.ndarray]
     reaction_coefficient: float = 0.0
     reaction_exponent: float = 0.5
 
-    def __post_init__(self):
-        if self.kind not in (WAVE, ADVECTION_REACTION):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-
     @property
     def has_reaction(self) -> bool:
-        """Whether the problem has a reaction term: with c = 0 the
-        advection-reaction problem is pure advection and is solved as one."""
-        return self.kind == ADVECTION_REACTION and self.reaction_coefficient != 0.0
+        """Whether the problem has a reaction term, c != 0; with c = 0 it is pure advection."""
+        return self.reaction_coefficient != 0.0
 
     def reaction(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pointwise reaction term c*|u|^p (0 for the wave problem), computed
-        in place in ``out``, or in one new array when ``out`` is not given."""
+        """Pointwise reaction term c*|u|^p (0 when c = 0), computed in place
+        in ``out``, or in one new array when ``out`` is not given."""
         if out is None:
             out = np.empty(np.shape(u))
         magnitude = np.abs(u, out=out)
@@ -119,16 +110,11 @@ class PdeProblem:
 
 
 def wave_problem() -> PdeProblem:
-    return PdeProblem(kind=WAVE, initial_condition=np.cos)
+    return PdeProblem(np.cos)
 
 
 def advection_reaction_problem() -> PdeProblem:
-    return PdeProblem(
-        kind=ADVECTION_REACTION,
-        initial_condition=lambda x: np.cos(x) + 1.5,
-        reaction_coefficient=0.1,
-        reaction_exponent=0.5,
-    )
+    return PdeProblem(lambda x: np.cos(x) + 1.5, reaction_coefficient=0.1)
 
 
 @dataclass(frozen=True)
@@ -625,15 +611,14 @@ def solve_ensemble(
     """Solve the deterministic PDE for many samples at once.
 
     The samples do not couple, so the stacked RK4 solve performs exactly the
-    per-sample arithmetic: through ``integrate_advection`` for the wave
-    problem, and through ``integrate_reaction`` for the advection-reaction
-    problem. ``initial`` is either one state of length M, shared by all
-    samples, or an array of shape (K, M); the step defaults to
-    ``default_step``. The kernel checks the shape, plans the steps and
+    per-sample arithmetic: through ``integrate_advection`` when c = 0 (the
+    wave), and through ``integrate_reaction`` otherwise. ``initial`` is either
+    one state of length M, shared by all samples, or an array of shape (K, M);
+    the step defaults to ``default_step``. The kernel checks the shape, plans the steps and
     checks the CFL bound before any marching. Returns (n_output_times, K,
     M), or hands the states to ``record`` as the kernels describe: all rows
-    at once on the wave, and block by block in row order, on one thread, on
-    the advection-reaction problem.
+    at once without reaction, and block by block in row order, on one
+    thread, with it.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     initial = np.asarray(initial, dtype=float)

@@ -349,17 +349,57 @@ class TestRunCommand:
         assert staged <= total
         assert staged >= 0.95 * total
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        def run(out):
-            assert cli.main(["run", "--solver", "empirical", "--grid-size", "64",
-                             "--node-count", "40", "--t-final", "2.0",
+    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
+        def run(out, args, cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert cli.main(["run", "--solver", "empirical", *args,
                              "--output-dir", str(out)]) == 0
             return {name: (out / name).read_bytes()
                     for name in os.listdir(out) if name != "manifest.json"}
 
-        first = run(tmp_path / "a")
-        second = run(tmp_path / "b")
-        assert first == second
+        # the reaction rerun on one CPU: its 25,600 state entries are marched
+        # as 2 blocks on 2 CPUs and as 1 block on 1
+        for name, args, cpus in [
+            ("wave", ["--grid-size", "64", "--node-count", "40", "--t-final", "2.0"], 2),
+            ("reaction", ["--problem", "advection-reaction", "--grid-size", "128",
+                          "--node-count", "200", "--t-final", "4.0"], 1),
+        ]:
+            first = run(tmp_path / name / "a", args, 2)
+            second = run(tmp_path / name / "b", args, cpus)
+            assert len(first) >= 5 and first == second
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_artifacts_get_the_mode_open_gives(self, tmp_path, umask, mode):
+        found = os.umask(umask)
+        try:
+            assert cli.main(["run", "--solver", "exact", "--t-final", "1", "--grid-size",
+                             "16", "--output-dir", str(tmp_path / "run")]) == 0
+            assert cli.main(["scaling-study", "--grid-size", "32", "--node-count", "20",
+                             "--horizons", "1", "2", "3", "--no-gpc",
+                             "--output-dir", str(tmp_path / "study")]) == 0
+        finally:
+            os.umask(found)
+        paths = [*(tmp_path / "run").iterdir(), *(tmp_path / "study").iterdir()]
+        assert len(paths) == 5
+        assert {path.stat().st_mode & 0o777 for path in paths} == {mode}
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--solver", "exact", "--t-final", "1", "--grid-size", "16",
+         "--output-dir", "{file}/sub"],
+        ["compare", "{file}", "{file}", "--report", "{missing}/report.json"],
+        ["scaling-study", "--grid-size", "32", "--node-count", "20", "--horizons", "1",
+         "2", "3", "--no-gpc", "--output-dir", "{file}"],
+    ], ids=["run", "compare-report", "scaling-study"])
+    def test_unwritable_output_exits_validation(self, tmp_path, capsys, command):
+        # the file is a series, so compare reads it and fails only on the report
+        series = tmp_path / "series.csv"
+        cli.write_series(str(series), [0.0, 1.0], [1.0, 1.0])
+        args = [arg.format(file=series, missing=tmp_path / "missing") for arg in command]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot write" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_mc_writes_stderr_column(self, tmp_path):
         out = tmp_path / "mc"
@@ -725,6 +765,15 @@ class TestScalingStudy:
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "study").exists()
+
+    def test_horizons_past_the_default_t_final_run(self, tmp_path):
+        # the study never reads t_final, which defaults to 10
+        code = cli.main(["scaling-study", "--t-start", "12", "--horizons", "13", "14", "15",
+                         "--grid-size", "32", "--node-count", "20", "--no-gpc",
+                         "--output-dir", str(tmp_path / "study")])
+        assert code == 0
+        _, columns = read_csv(tmp_path / "study" / "scaling.csv")
+        assert list(columns[0]) == [13.0, 14.0, 15.0]
 
     def test_solver_failure_exits_diverged(self, tmp_path, capsys, monkeypatch):
         from empchaos.pde_core import IntegrationDiverged

@@ -222,7 +222,7 @@ class TestRunSchedule:
     def test_wave_overflow_diverges(self, rule_120, scale):
         # an ensemble whose energy overflows has diverged (exit 2), it is not
         # a degenerate POD input (exit 1)
-        problem = PdeProblem(kind="Wave", initial_condition=lambda x: scale * np.cos(x))
+        problem = PdeProblem(lambda x: scale * np.cos(x))
         config = EmpiricalConfig(problem=problem, grid=SpatialGrid(64), rule=rule_120,
                                  t_start=2.0, t_final=3.0)
         with pytest.raises(IntegrationDiverged) as info, np.errstate(all="ignore"):
@@ -237,15 +237,12 @@ class TestRunSchedule:
         with pytest.raises(ValueError):
             run_schedule(config)
 
-    def test_zero_reaction_is_solved_as_pure_advection(self, rule_120):
-        def shifted_cosine(x):
-            return np.cos(x) + 1.5
-
+    def test_zero_reaction_is_solved_as_pure_advection(self, rule_120, advection_reaction):
         config = EmpiricalConfig(
-            problem=PdeProblem(kind="AdvectionReaction", initial_condition=shifted_cosine),
+            problem=dataclasses.replace(advection_reaction, reaction_coefficient=0.0),
             grid=SpatialGrid(128), rule=rule_120, window_length=1.0, t_final=3.0)
         archive, _ = run_schedule(config)
-        advection = PdeProblem(kind="Wave", initial_condition=shifted_cosine)
+        advection = PdeProblem(lambda x: np.cos(x) + 1.5)
         reference, _ = run_schedule(dataclasses.replace(config, problem=advection))
         times, values = archive.statistic_series(0)
         np.testing.assert_array_equal(values, reference.statistic_series(0)[1])

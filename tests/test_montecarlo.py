@@ -106,8 +106,7 @@ class TestStandardErrorScaling:
 class TestDivergenceHandling:
     def test_all_diverged_raises_after_warning(self, small_grid):
         # cubic growth blows up quickly for every sample
-        blower = PdeProblem(kind="AdvectionReaction",
-                            initial_condition=lambda x: np.cos(x) + 1.5,
+        blower = PdeProblem(initial_condition=lambda x: np.cos(x) + 1.5,
                             reaction_coefficient=1.0, reaction_exponent=3.0)
         window = TimeWindow(0.0, 5.0)
         config = McConfig(problem=blower, grid=small_grid, window=window,
@@ -127,15 +126,15 @@ class TestDivergenceHandling:
 class TestStableMoments:
     # u = cos + 1e6: raw power sums of u^2 cancel every digit of its variance,
     # the merged (count, mean, M2) keep them
-    @pytest.mark.parametrize("kind,grid_size,samples,chunk", [
-        ("Wave", 32, 400, 100),
+    @pytest.mark.parametrize("coefficient,grid_size,samples,chunk", [
+        (0.0, 32, 400, 100),
         # at M = 64 the reaction kernel marches 512-sample blocks: each chunk
         # merges a full and a ragged block
-        ("AdvectionReaction", 64, 1200, 600),
+        (0.1, 64, 1200, 600),
     ], ids=["wave", "reaction-blocks"])
-    def test_matches_two_pass_at_large_offset(self, kind, grid_size, samples, chunk):
-        problem = PdeProblem(kind=kind, initial_condition=lambda x: np.cos(x) + 1e6,
-                             reaction_coefficient=0.1)
+    def test_matches_two_pass_at_large_offset(self, coefficient, grid_size, samples, chunk):
+        problem = PdeProblem(initial_condition=lambda x: np.cos(x) + 1e6,
+                             reaction_coefficient=coefficient)
         grid = SpatialGrid(grid_size)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
         result = mc_statistics(McConfig(problem=problem, grid=grid, window=window,
@@ -157,9 +156,8 @@ class TestWorkerProcesses:
     # a lambda initial condition cannot be pickled: the workers must receive
     # the initial state as an array
     @pytest.mark.parametrize("problem", [
-        PdeProblem(kind="Wave", initial_condition=np.cos),
-        PdeProblem(kind="AdvectionReaction", initial_condition=lambda x: np.sin(x) + 2.0,
-                   reaction_coefficient=0.1),
+        PdeProblem(np.cos),
+        PdeProblem(initial_condition=lambda x: np.sin(x) + 2.0, reaction_coefficient=0.1),
     ], ids=["wave", "lambda-reaction"])
     def test_pool_bit_identical_to_in_process(self, problem, monkeypatch):
         config = McConfig(problem=problem, grid=SpatialGrid(32),
@@ -190,11 +188,11 @@ class TestWorkerProcesses:
             np.testing.assert_array_equal(getattr(results[1], name),
                                           getattr(results[2], name))
 
-    @pytest.mark.parametrize("kind", ["Wave", "AdvectionReaction"])
-    def test_nan_sample_left_out_of_every_row(self, kind, monkeypatch):
+    @pytest.mark.parametrize("coefficient", [0.0, 0.1], ids=["Wave", "AdvectionReaction"])
+    def test_nan_sample_left_out_of_every_row(self, coefficient, monkeypatch):
         # a NaN speed leaves t = 0 finite and every later output non-finite
-        problem = PdeProblem(kind=kind, initial_condition=lambda x: np.cos(x) + 1.5,
-                             reaction_coefficient=0.1)
+        problem = PdeProblem(initial_condition=lambda x: np.cos(x) + 1.5,
+                             reaction_coefficient=coefficient)
         xi = np.random.default_rng(4).uniform(-1.0, 1.0, 300)
         base = dict(problem=problem, grid=SpatialGrid(32),
                     window=TimeWindow.with_uniform_outputs(0.0, 1.0, 5), step=1e-2,

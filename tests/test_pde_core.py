@@ -532,8 +532,8 @@ class TestAdvectionSpectrum:
 class TestReaction:
     @pytest.mark.parametrize("exponent", [0.5, 3.0])
     def test_one_new_array_bit_identical(self, exponent):
-        problem = PdeProblem(kind="AdvectionReaction", initial_condition=np.cos,
-                             reaction_coefficient=0.3, reaction_exponent=exponent)
+        problem = PdeProblem(initial_condition=np.cos, reaction_coefficient=0.3,
+                             reaction_exponent=exponent)
         u = np.random.default_rng(4).normal(size=(50, 400))
         before = u.copy()
         tracemalloc.start()
@@ -551,8 +551,10 @@ class TestReaction:
         np.testing.assert_array_equal(u, result)
 
     def test_zero_coefficient_has_no_reaction(self):
-        problem = PdeProblem(kind="AdvectionReaction", initial_condition=np.cos)
-        assert not problem.has_reaction
+        for coefficient in (0.0, -0.0, 0.1, -0.1, 1e-300):
+            problem = PdeProblem(np.cos, reaction_coefficient=coefficient)
+            assert problem.has_reaction is (coefficient != 0.0)
+        assert not pde_core.wave_problem().has_reaction
         assert pde_core.advection_reaction_problem().has_reaction
 
 
@@ -648,8 +650,7 @@ class TestIntegrateReaction:
         assert_close_to_march(states, marched)
 
     def test_linear_exponent_uses_power_path(self, monkeypatch):
-        problem = PdeProblem(kind="AdvectionReaction",
-                             initial_condition=lambda x: np.cos(x) + 1.5,
+        problem = PdeProblem(initial_condition=lambda x: np.cos(x) + 1.5,
                              reaction_coefficient=0.3, reaction_exponent=1.0)
         grid = SpatialGrid(32)
         rng = np.random.default_rng(7)
@@ -698,8 +699,7 @@ class TestIntegrateReaction:
         # a tenth, four tenths and nine tenths of them: in three blocks, row
         # 2 in block 1 on both, so neither the first nor the last diverging
         # block gives the time
-        blower = PdeProblem(kind="AdvectionReaction",
-                            initial_condition=lambda x: np.cos(x) + 1.5,
+        blower = PdeProblem(initial_condition=lambda x: np.cos(x) + 1.5,
                             reaction_coefficient=1.0, reaction_exponent=3.0)
         grid = SpatialGrid(64)
         count = 2 * pde_core._MOST_ENTRIES // 64 + 3
