@@ -27,7 +27,11 @@ def main() -> int:
     problem = pde_core.advection_reaction_problem()
     grid = pde_core.SpatialGrid(args.grid_size)
     rule = random_space.trapezoid_rule(random_space.chebyshev_nodes(args.node_count))
-    os.makedirs(args.output_dir, exist_ok=True)
+    try:
+        cli._make_output_dir(args.output_dir)
+    except cli.ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     config = driver.EmpiricalConfig(
         problem=problem, grid=grid, rule=rule,

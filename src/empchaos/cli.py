@@ -214,8 +214,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
+def _csv(header: str, row: str, *columns) -> str:
+    """CSV text: the header line, then ``row % values`` for the values of each
+    row of ``columns``; ``%.17g`` writes a float as ``f"{value:.17g}"`` does."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return "\n".join([header, *(row % values for values in rows)]) + "\n"
 
 
 def _make_output_dir(path: str) -> None:
@@ -248,13 +251,10 @@ def _write_text(path: str, text: str) -> None:
 
 def write_series(path: str, times, values, stderr=None) -> None:
     if stderr is None:
-        lines = ["t,value"]
-        lines += [f"{_format(t)},{_format(v)}" for t, v in zip(times, values)]
+        text = _csv("t,value", "%.17g,%.17g", times, values)
     else:
-        lines = ["t,value,stderr"]
-        lines += [f"{_format(t)},{_format(v)},{_format(s)}"
-                  for t, v, s in zip(times, values, stderr)]
-    _write_text(path, "\n".join(lines) + "\n")
+        text = _csv("t,value,stderr", "%.17g,%.17g,%.17g", times, values, stderr)
+    _write_text(path, text)
 
 
 def _read_series(path: str):
@@ -285,19 +285,19 @@ def _empirical_artifacts(config: ExperimentConfig, archive, out: str) -> list[st
     write_series(os.path.join(out, "mean.csv"), times, mean)
     files.append("mean.csv")
 
-    count_lines = ["window,t_start,t_end,basis_count"]
-    for index, record in enumerate(archive.records):
-        count_lines.append(f"{index},{_format(record.window.start)},"
-                           f"{_format(record.window.end)},{record.basis.size}")
-        if record.basis.singular_values.size:
-            sigma = record.basis.singular_values
-            sv_lines = ["index,sigma,sigma_scaled"]
-            sv_lines += [f"{i},{_format(s)},{_format(s / sigma[0])}"
-                         for i, s in enumerate(sigma)]
+    records = archive.records
+    for index, record in enumerate(records):
+        sigma = record.basis.singular_values
+        if sigma.size:
             name = f"singular_values_window_{index:04d}.csv"
-            _write_text(os.path.join(out, name), "\n".join(sv_lines) + "\n")
+            _write_text(os.path.join(out, name),
+                        _csv("index,sigma,sigma_scaled", "%d,%.17g,%.17g",
+                             range(sigma.size), sigma, sigma / sigma[0]))
             files.append(name)
-    _write_text(os.path.join(out, "basis_counts.csv"), "\n".join(count_lines) + "\n")
+    _write_text(os.path.join(out, "basis_counts.csv"),
+                _csv("window,t_start,t_end,basis_count", "%d,%.17g,%.17g,%d",
+                     range(len(records)), [r.window.start for r in records],
+                     [r.window.end for r in records], [r.basis.size for r in records]))
     files.append("basis_counts.csv")
     return files
 
@@ -610,9 +610,9 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
 def write_scaling_artifacts(report: dict, out: str) -> None:
     _make_output_dir(out)
     columns = list(report["rows"][0])
-    lines = [",".join(columns)]
-    lines += [",".join(_format(row[name]) for name in columns) for row in report["rows"]]
-    _write_text(os.path.join(out, "scaling.csv"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(out, "scaling.csv"),
+                _csv(",".join(columns), ",".join(["%.17g"] * len(columns)),
+                     *([row[name] for row in report["rows"]] for name in columns)))
     _write_text(os.path.join(out, "scaling_report.json"),
                 json.dumps(report, indent=2) + "\n")
 

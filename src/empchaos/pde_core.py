@@ -152,8 +152,17 @@ class TimeWindow:
 
 def _difference(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The raw periodic central difference u[i + 1] - u[i - 1] along the last
-    axis, written into ``out``."""
-    np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+    axis, written into ``out``.
+
+    When both arrays are C-ordered, the interior is one contiguous pass over
+    the rows laid end to end; its entries that straddle two rows are then
+    overwritten by the wraparound columns. Each entry is the same single
+    subtraction either way."""
+    if values.flags.c_contiguous and out.flags.c_contiguous:
+        flat, out_flat = values.reshape(-1), out.reshape(-1)
+        np.subtract(flat[2:], flat[:-2], out=out_flat[1:-1])
+    else:
+        np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
     np.subtract(values[..., 1], values[..., -1], out=out[..., 0])
     np.subtract(values[..., 0], values[..., -2], out=out[..., -1])
     return out

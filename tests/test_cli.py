@@ -644,6 +644,24 @@ class TestBlasThreads:
         assert before <= manifest["peak_rss_mb"] <= after
 
 
+class TestWriteSeries:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 0.1,
+               np.finfo(float).max, np.finfo(float).tiny, 2.0 ** 53 + 2.0]
+
+    @pytest.mark.parametrize("with_stderr", [False, True])
+    def test_bytes_match_the_fstring_form(self, tmp_path, with_stderr):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([self.SPECIAL, rng.standard_normal(500)
+                                 * 10.0 ** rng.integers(-300, 300, 500)])
+        times = np.arange(values.size) / 7.0
+        columns = [times, values, values[::-1]] if with_stderr else [times, values]
+        path = tmp_path / "series.csv"
+        cli.write_series(str(path), *columns)
+        header = "t,value,stderr" if with_stderr else "t,value"
+        lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 class TestCompareCommand:
     def test_identical_series_pass(self, tmp_path):
         path = tmp_path / "series.csv"

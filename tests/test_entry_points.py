@@ -53,6 +53,19 @@ def test_advection_reaction_script(tmp_path):
         assert {"empirical_mean_square.csv", "mc_mean_square.csv"} <= set(os.listdir(out))
 
 
+def test_advection_reaction_script_rejects_an_unwritable_output_dir(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = python(str(SCRIPTS / "advection_reaction_experiment.py"),
+                    "--t-final", "2", "--grid-size", "16", "--node-count", "10",
+                    "--samples", "20", "--output-dir", str(blocker / "sub"), cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1 and "cannot write" in result.stderr
+    assert result.stdout == ""
+
+
 def test_basis_evolution_script(tmp_path):
     result = python(str(SCRIPTS / "basis_evolution_experiment.py"),
                     "--t-final", "2", "--grid-size", "32", "--node-count", "40",

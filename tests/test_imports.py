@@ -1,5 +1,5 @@
-"""Every name that a module under src/ or tests/ imports is read in it,
-every name in a package module's ``__all__`` is bound in that module, and
+"""Every name that a module under src/, tests/ or scripts/ imports is read
+in it, every name in a package module's ``__all__`` is bound in that module, and
 every module-level function, class and constant under src/ is read
 somewhere in src/ or listed in its module's ``__all__``."""
 
@@ -11,8 +11,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for folder in ("src", "tests")
-                 for path in (ROOT / folder).rglob("*.py"))
+SOURCES = sorted([*(path for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py")),
+                  *(ROOT / "scripts").glob("*.py")])
 MODULES = sorted(".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
                  .removesuffix(".__init__") for path in (ROOT / "src").rglob("*.py"))
 

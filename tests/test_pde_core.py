@@ -104,6 +104,44 @@ class TestSpatialDerivative:
             spatial_derivative(np.ones(10), SpatialGrid(32))
 
 
+def padded(shape):
+    """A (..., M) array whose rows do not follow one another in memory, so no
+    flat view of it exists: the first M columns of a wider buffer."""
+    return np.empty((*shape[:-1], shape[-1] + 3))[..., :shape[-1]]
+
+
+class TestDifference:
+    """``_difference`` against the periodic difference built with np.roll, bit
+    for bit, on every layout its callers pass."""
+
+    @pytest.mark.parametrize("values, out", [
+        pytest.param(lambda v: v, np.empty_like, id="stacked-rows"),
+        pytest.param(lambda v: v.reshape(4, 3, 32), np.empty_like, id="output-stack"),
+        pytest.param(lambda v: v[0], np.empty_like, id="one-row"),
+        pytest.param(lambda v: v[:, :3].copy(), np.empty_like, id="three-points"),
+        pytest.param(lambda v: v.reshape(32, 12).T, lambda v: np.empty(v.shape[::-1]).T,
+                     id="reaction-columns"),
+        pytest.param(lambda v: v[:1].reshape(32, 1).T, lambda v: np.empty(v.shape[::-1]).T,
+                     id="reaction-one-column"),
+        pytest.param(lambda v: v.reshape(12, 32)[:, ::2], np.empty_like, id="strided-values"),
+    ])
+    def test_matches_rolled_difference(self, values, out):
+        values = values(np.random.default_rng(3).standard_normal((12, 32)))
+        out = out(values)
+        out.fill(np.nan)
+        expected = np.roll(values, -1, -1) - np.roll(values, 1, -1)
+        assert pde_core._difference(values, out) is out
+        assert np.array_equal(out, expected)
+
+    def test_c_ordered_values_into_padded_out(self):
+        values = np.random.default_rng(4).standard_normal((5, 16))
+        out = padded(values.shape)
+        assert values.flags.c_contiguous and not out.flags.c_contiguous
+        out.fill(np.nan)
+        pde_core._difference(values, out)
+        assert np.array_equal(out, np.roll(values, -1, -1) - np.roll(values, 1, -1))
+
+
 def textbook_rk4(rhs, initial, window, step):
     """The plain, allocating classical RK4 that ``integrate_ode`` runs in
     place: the reference march, for an autonomous ``rhs(u)`` that returns
