@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .galerkin import pencil_eigh
 from .pde_core import SpatialGrid, spatial_derivative
 from .pod import BasisSet
 
@@ -120,8 +120,8 @@ def _evolve_block(pair: SpatialGalerkinPair, a: int, b: int, scales: np.ndarray,
     with V^H G V = I, so exp(s G^{-1} A) = V diag(e^{-i s mu}) V^H G."""
     gram, advect = pair.gram[a:b, a:b], pair.advect[a:b, a:b]
     try:
-        mu, vecs = scipy.linalg.eigh(0.5j * (advect - advect.T), gram)
-    except scipy.linalg.LinAlgError as exc:
+        mu, vecs = pencil_eigh(0.5j * (advect - advect.T), gram)
+    except np.linalg.LinAlgError as exc:
         raise SingularBlock(f"Gram block [{a}:{b}] is not positive definite") from exc
     coords = segment @ gram @ vecs.conj()
     coords *= np.exp(-1j * np.multiply.outer(scales, mu))

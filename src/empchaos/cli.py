@@ -33,7 +33,6 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__, driver, gpc, montecarlo, pde_core, random_space
 from .basis_evolution import SingularBlock
@@ -352,13 +351,13 @@ def _one_blas_thread():
     """Run the body with every loaded OpenBLAS on one thread, then restore the
     thread counts found. Yields the count each library reads back, by basename.
 
-    numpy and scipy each bundle an OpenBLAS; on a two-core machine their
-    threaded pools spin against each other, and the solves' matrices are too
-    small to gain from a second thread. The second core serves the
-    advection-reaction ensemble instead, whose samples are cut into equal
-    blocks marched on up to one thread per CPU, and the Monte Carlo worker
-    processes, which inherit the setting, march on one thread each and make
-    no BLAS call.
+    The library's products and factorizations all run in numpy's OpenBLAS
+    (another one, such as scipy's in a process that imported it, is set
+    too), and the solves' matrices are too small to gain from a second
+    thread. The second core serves the advection-reaction ensemble instead,
+    whose samples are cut into equal blocks marched on up to one thread per
+    CPU, and the Monte Carlo worker processes, which inherit the setting,
+    march on one thread each and make no BLAS call.
 
     Each count is set with the worker threads stopped: an idle worker spins
     for about 0.1 s after threaded work or a restart (setting a count restarts
@@ -462,7 +461,6 @@ def run_experiment(config: ExperimentConfig) -> int:
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "config": dataclasses.asdict(config),
         "status": "ok",
         "files": [],
@@ -539,8 +537,12 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r_squared)
 
 
-# rounds of empirical solves in a scaling study; its times are each horizon's least
+# rounds of empirical solves in a scaling study: at least _TIMING_ROUNDS, and
+# more until every horizon has been solved for _TIMING_SECONDS in all, so that
+# a few ms of noise cannot bend the fit of solves that take tens of ms; its
+# times are each horizon's least
 _TIMING_ROUNDS = 3
+_TIMING_SECONDS = 0.3
 
 
 def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
@@ -550,10 +552,12 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
     The gPC order grows proportionally to the horizon so both methods track a
     comparable accuracy target as the integration time increases. Both are
     timed with BLAS on one thread. Each empirical horizon's time is the
-    least of ``_TIMING_ROUNDS`` rounds, each of which solves every horizon
-    once, so that one slow spell of a shared machine sets no horizon's time
-    (a short solve is timed again later, not straight after itself); each
-    gPC horizon is timed once, after the empirical rounds.
+    least of its rounds, each of which solves every horizon once, so that one
+    slow spell of a shared machine sets no horizon's time (a short solve is
+    timed again later, not straight after itself). There are at least
+    ``_TIMING_ROUNDS`` rounds, and more until every horizon's solves add up
+    to ``_TIMING_SECONDS``; the report gives their count. Each gPC horizon
+    is timed once, after the empirical rounds.
     """
     horizons = sorted(float(t) for t in horizons)
     if len(horizons) < 3:
@@ -572,16 +576,20 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
     problem, grid, rule = base.problem, base.grid, base.rule
 
     rows = [{"t_final": t_final, "empirical_seconds": math.inf} for t_final in horizons]
+    spent = [0.0] * len(rows)
+    rounds = 0
     with _one_blas_thread():
-        for _ in range(_TIMING_ROUNDS):
-            for row in rows:
+        while rounds < _TIMING_ROUNDS or min(spent) < _TIMING_SECONDS:
+            for i, row in enumerate(rows):
                 emp_config = dataclasses.replace(base, t_final=row["t_final"],
                                                  schedule=driver.always_resample)
                 tic = time.perf_counter()
                 archive, _ = driver.run_schedule(emp_config)
-                row["empirical_seconds"] = min(row["empirical_seconds"],
-                                               time.perf_counter() - tic)
+                seconds = time.perf_counter() - tic
+                row["empirical_seconds"] = min(row["empirical_seconds"], seconds)
                 row["max_basis_count"] = int(max(archive.basis_counts()))
+                spent[i] += seconds
+            rounds += 1
         for row in rows if with_gpc else ():
             order = max(1, int(np.ceil(order_factor * row["t_final"])))
             window = pde_core.TimeWindow(config.t_start, row["t_final"])
@@ -597,6 +605,7 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
         "rows": rows,
         "empirical_fit": {"slope": slope, "intercept": intercept,
                           "r_squared": r_squared},
+        "empirical_rounds": rounds,
     }
     if with_gpc:
         g = np.array([row["gpc_seconds"] for row in rows])

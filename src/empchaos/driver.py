@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import basis_evolution
 from .galerkin import (
@@ -171,11 +170,32 @@ def _reaction_interpolation(problem: PdeProblem, trajectories: np.ndarray,
     """
     snapshots = problem.reaction(trajectories, out=trajectories)
     u = truncate_pod(snapshots, REACTION_TAIL, rule, least=least).values
-    _, pivots = scipy.linalg.qr(u.T, mode="r", pivoting=True, check_finite=False)
-    points = np.sort(pivots[:u.shape[1]])
+    points = np.sort(_pivot_columns(u.T))
     # lift * U[p] = U
-    lift = scipy.linalg.solve(u[points].T, u.T, check_finite=False).T
+    lift = np.linalg.solve(u[points].T, u.T).T
     return points, lift
+
+
+def _pivot_columns(a: np.ndarray) -> np.ndarray:
+    """The first r column pivots, in order, of a column-pivoted QR of the
+    (r, K) ``a`` of rank r, r <= K: greedy Gram-Schmidt on its columns.
+    Each step takes the column with the largest part outside the span of
+    those already taken (the first on a tie, as LAPACK's geqp3 does),
+    orthogonalizes it twice against them, and downdates every column's
+    squared remaining norm by its component along the new direction."""
+    r = a.shape[0]
+    q = np.zeros((r, r))
+    norms = np.einsum("ij,ij->j", a, a)
+    pivots = np.empty(r, dtype=np.intp)
+    for j in range(r):
+        pivots[j] = p = np.argmax(norms)
+        v = a[:, p].copy()
+        for _ in range(2):
+            v -= q[:, :j] @ (q[:, :j].T @ v)
+        q[:, j] = v / np.linalg.norm(v)
+        norms -= np.square(q[:, j] @ a)
+        norms[p] = -np.inf
+    return pivots
 
 
 def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTimings]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .pde_core import AdvectionSpectrum
 from .random_space import QuadratureRule
@@ -169,14 +168,12 @@ def _decompose(rows: np.ndarray, threshold: float, rule: QuadratureRule, cap: in
     k = rows.shape[1]
     if rows.shape[0] > k:
         # the right singular vectors and singular values of A = QR are those
-        # of R (T. Chan's R-bidiagonalization), so only R is decomposed and no
-        # left vectors are formed. R has A's row count, and below its leading
-        # K x K block its rows are zero, so only that block is decomposed.
+        # of R (T. Chan's R-bidiagonalization), so only R, the K x K block
+        # that mode "r" returns, is decomposed and no left vectors are formed.
         # With no more rows than K the QR would not shrink them.
-        (rows,) = scipy.linalg.qr(rows, mode="r", overwrite_a=True, check_finite=False)
-        rows = rows[:k]
+        rows = np.linalg.qr(rows, mode="r")
     # the BLAS thread policy lives in the CLI (cli._one_blas_thread), not here
-    _, sigma, vt = scipy.linalg.svd(rows, full_matrices=False, check_finite=False)
+    _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
     sigma = np.pad(sigma, (0, count - sigma.size))
     n_keep = max(1, least, int(np.count_nonzero(sigma / sigma[0] >= threshold)))
     if cap is not None:

@@ -193,10 +193,17 @@ def test_criterion_7_linear_time_scaling_and_crossover():
     r_squared = wave_report["empirical_fit"]["r_squared"]
     exponent = wave_report["gpc_fit"]["exponent"]
     crossover = ar_report["crossover_exists"]
+
+    def rows(study):
+        return "; ".join(f"t = {row['t_final']:g}: empirical {row['empirical_seconds']:.4f} s, "
+                         f"gPC {row['gpc_seconds']:.4f} s" for row in study["rows"])
     report(7, r_squared >= 0.98 and exponent > 1.3 and crossover,
            f"empirical wall time vs horizon linear fit R^2 = {r_squared:.4f} "
            f"(need >= 0.98); gPC growth exponent {exponent:.2f} (need > 1.3); "
-           f"advection-reaction wall-clock crossover exists: {crossover}")
+           f"advection-reaction wall-clock crossover exists: {crossover}. "
+           f"Wave ({wave_report['empirical_rounds']} empirical rounds): {rows(wave_report)}. "
+           f"Advection-reaction ({ar_report['empirical_rounds']} empirical rounds, "
+           f"R^2 = {ar_report['empirical_fit']['r_squared']:.4f}): {rows(ar_report)}")
 
 
 def test_criterion_8_invariant_suite():

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy
 
 from empchaos import cli
 from empchaos.basis_evolution import SingularBlock
@@ -20,6 +19,14 @@ from empchaos.pde_core import wave_exact_mean_square
 
 def _exit_at_once(*args):
     os._exit(1)
+
+
+@pytest.fixture(autouse=True)
+def _three_timing_rounds(monkeypatch):
+    """Scaling studies here run the minimum of three empirical rounds: their
+    solves take a few ms, and the time budget that steadies criterion 7's
+    fit would only repeat them."""
+    monkeypatch.setattr(cli, "_TIMING_SECONDS", 0.0)
 
 
 @pytest.fixture
@@ -640,7 +647,7 @@ class TestBlasThreads:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
-        assert manifest["scipy"] == scipy.__version__
+        assert "scipy" not in manifest
         assert before <= manifest["peak_rss_mb"] <= after
 
 
@@ -828,6 +835,29 @@ class TestScalingStudy:
         assert solved == [1.0, 2.0, 3.0] * 3
         assert [row["empirical_seconds"] for row in report["rows"]] == [1.0, 2.0, 3.0]
         assert [row["max_basis_count"] for row in report["rows"]] == [5, 5, 5]
+        assert report["empirical_rounds"] == 3
+
+    def test_short_solves_get_rounds_until_their_time_adds_up(self, monkeypatch):
+        # the shortest horizon takes 1/64 s a solve, so 0.25 s takes 16 rounds
+        clock = [0.0]
+        solved = []
+
+        class Archive:
+            def basis_counts(self):
+                return np.array([4])
+
+        def timed_schedule(config):
+            solved.append(config.t_final)
+            clock[0] += config.t_final / 64
+            return Archive(), None
+        monkeypatch.setattr(cli, "_TIMING_SECONDS", 0.25)
+        monkeypatch.setattr(cli.driver, "run_schedule", timed_schedule)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+        report = cli.run_scaling_study(ExperimentConfig(grid_size=32, node_count=20),
+                                       [1.0, 2.0, 4.0], with_gpc=False)
+        assert solved == [1.0, 2.0, 4.0] * 16
+        assert report["empirical_rounds"] == 16
+        assert [row["empirical_seconds"] for row in report["rows"]] == [1 / 64, 2 / 64, 4 / 64]
 
     def test_report_structure_and_artifacts(self, tmp_path):
         config = ExperimentConfig(grid_size=32, node_count=20,

@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg
 
 from empchaos import gpc
+from empchaos.driver import _pivot_columns
 from empchaos.galerkin import (
     ExpansionArchive,
     IllConditionedBasis,
     WindowRecord,
     assemble_matrices,
+    pencil_eigh,
     project_node_values,
     propagate_window,
 )
@@ -83,6 +85,41 @@ class TestAssembleMatrices:
         rhs = np.arange(3.0)
         np.testing.assert_allclose(matrices.mass @ matrices.solve(rhs), rhs,
                                    atol=1e-12)
+
+
+class TestPencilEigh:
+    """pencil_eigh against scipy.linalg.eigh (LAPACK's sygv/hegv)."""
+
+    @pytest.mark.parametrize("condition", [1e2, 1e10])
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+    def test_matches_scipy(self, condition, hermitian):
+        rng = np.random.default_rng(11)
+        n = 9
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        b = (q * np.logspace(0, -np.log10(condition), n)) @ q.T
+        a = rng.normal(size=(n, n))
+        # the basis evolution's pencil (iA, G) with A antisymmetric, or a real one
+        a = 0.5j * (a - a.T) if hermitian else a + a.T
+        lam, vecs = pencil_eigh(a, b)
+        expected_lam, expected = scipy.linalg.eigh(a, b)
+        assert vecs.dtype == expected.dtype
+        scale = np.max(np.abs(expected_lam))
+        np.testing.assert_allclose(lam, expected_lam, rtol=0,
+                                   atol=condition * 1e-15 * scale)
+
+        def residual(lam, vecs):
+            return np.linalg.norm(a @ vecs - b @ vecs * lam) / (
+                np.linalg.norm(a) * np.linalg.norm(vecs))
+
+        def orthonormality(vecs):
+            return np.linalg.norm(vecs.conj().T @ b @ vecs - np.eye(n))
+        # within an order of magnitude of LAPACK's own roundoff
+        assert residual(lam, vecs) <= 10 * residual(expected_lam, expected) + 1e-15
+        assert orthonormality(vecs) <= 10 * orthonormality(expected) + 1e-14
+
+    def test_rejects_an_indefinite_b(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            pencil_eigh(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def project_column(values, basis):
@@ -312,6 +349,18 @@ class TestReactionInterpolation:
         assert np.max(np.abs(reduced - full)) <= 1e-8 * np.max(np.abs(full))
         # the reaction is evaluated at the points only
         assert shapes and set(shapes) == {(points.size, grid.point_count)}
+
+    def test_pivots_match_lapack_on_a_reaction_basis(self, advection_reaction):
+        _, _, basis, _, sigma, v = sampled_reaction_window(advection_reaction, 32, 60, 1.0)
+        u = v[:, :max(basis.size, int(np.count_nonzero(sigma >= 1e-8 * sigma[0])))]
+        _, pivots = scipy.linalg.qr(u.T, mode="r", pivoting=True)
+        np.testing.assert_array_equal(_pivot_columns(u.T), pivots[:u.shape[1]])
+
+    @pytest.mark.parametrize("r", [1, 20, 119])
+    def test_pivots_match_lapack_on_orthonormal_columns(self, r):
+        u = np.linalg.qr(np.random.default_rng(r).normal(size=(300, r)))[0]
+        _, pivots = scipy.linalg.qr(u.T, mode="r", pivoting=True)
+        np.testing.assert_array_equal(_pivot_columns(u.T), pivots[:r])
 
     def test_rejects_lift_of_wrong_shape(self, advection_reaction, rule_300):
         grid = SpatialGrid(32)

@@ -1,12 +1,16 @@
 """Every name that a module under src/, tests/ or scripts/ imports is read
-in it, every name in a package module's ``__all__`` is bound in that module, and
+in it, every name in a package module's ``__all__`` is bound in that module,
 every module-level function, class and constant under src/ is read
-somewhere in src/ or listed in its module's ``__all__``."""
+somewhere in src/ or listed in its module's ``__all__``, and the CLI loads
+no scipy."""
 
 import ast
 import collections
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,3 +122,16 @@ def test_every_public_name_is_bound(name):
     # unused import, and ``from module import *`` would fail on it
     module = importlib.import_module(name)
     assert [public for public in module.__all__ if not hasattr(module, public)] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # the test process has scipy loaded by the oracles, so a fresh one is asked
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, empchaos.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

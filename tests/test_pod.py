@@ -200,12 +200,12 @@ class TestFourierRows:
         rows = pod._energetic_rows(trajectories).shape[0]
         assert rows == 3 * points
         shapes = []
-        svd = scipy.linalg.svd
+        svd = np.linalg.svd
 
         def spy(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
-        monkeypatch.setattr(scipy.linalg, "svd", spy)
+        monkeypatch.setattr(np.linalg, "svd", spy)
         truncate_pod(trajectories, 1e-4, rule)
         assert shapes == [(min(rows, 9), 9)]
         monkeypatch.undo()
@@ -293,7 +293,7 @@ class TestTruncateSpectrum:
 
         def no_qr(*args, **kwargs):
             raise AssertionError("QR of rows that it cannot shrink")
-        monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
         assert truncate_spectrum(spectrum, 1e-4, rule).singular_values.shape == (120,)
 
     def test_one_power_per_distinct_step(self, monkeypatch):
