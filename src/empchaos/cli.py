@@ -9,9 +9,10 @@ config file or series CSV, an unwritable output path, or input the solver
 rejects (such as a step that breaks the CFL bound, or a step so small that a
 march would exceed ``pde_core.STEP_ENTRY_LIMIT``), 2 solver divergence, an
 ill-conditioned basis, a failed basis evolution (a Gram block that is
-singular or not positive definite) or a Monte Carlo worker process that
-died, 3 comparison failure. scaling-study exits 1 and 2 on the same errors,
-without a manifest.
+singular or not positive definite), a Monte Carlo worker process that died
+or an array too large to allocate (such as a node, sample or output count
+beyond the host's memory), 3 comparison failure. scaling-study exits 1 and
+2 on the same errors, without a manifest.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ EXIT_VALIDATION = 1
 EXIT_DIVERGED = 2
 EXIT_COMPARISON = 3
 # what a solve may raise on input it rejects (a ValueError, such as a step
-# that breaks the CFL bound) or on failing; _report_failure prints each and
-# gives its exit code
+# that breaks the CFL bound) or on failing, an allocation too large for the
+# host included; _report_failure prints each and gives its exit code
 _SOLVE_ERRORS = (IntegrationDiverged, IllConditionedBasis, SingularBlock,
-                 BrokenExecutor, ValueError)
+                 BrokenExecutor, MemoryError, ValueError)
 
 _PROBLEMS = {
     "wave": pde_core.wave_problem,
@@ -454,7 +455,6 @@ def run_experiment(config: ExperimentConfig) -> int:
     """Run one configured solve, with BLAS on one thread, and write the result
     bundle to output_dir."""
     config.validate()
-    emp_config = _empirical_config(config)
     out = config.output_dir
     _make_output_dir(out)
     manifest = {
@@ -469,6 +469,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     }
     code = EXIT_OK
     try:
+        # its rule's nodes may already be more than the host can hold
+        emp_config = _empirical_config(config)
         with _one_blas_thread() as threads:
             manifest["blas_threads"] = threads
             # the stages cover the total: building the config, grid and rule

@@ -369,9 +369,9 @@ class AdvectionSpectrum:
     and so its squared modulus by |R(iy)|^2 (``_growth_energy``). Built from
     the (K, M) states ``initial`` at the K ``speeds``, it plans the steps and
     checks the CFL bound (``_advection_plan``) before any other work, then
-    takes one rfft along x. ``march(modes)`` returns the (n_output_times, K,
-    len(modes)) spectrum of those modes, marched in place in one buffer, with
-    one power R(z)^n per distinct (dt, n) of the plan.
+    takes one rfft along x. ``march(modes)`` yields the spectrum of those
+    modes at each output time, marched in place in one buffer, with one
+    power R(z)^n per distinct (dt, n) of the plan.
     ``energy``, worked out in closed form on first read, is the
     (n_output_times, M//2 + 1) sum over the samples of each mode's squared
     modulus at each output; a non-finite energy, or one whose running sum
@@ -408,13 +408,11 @@ class AdvectionSpectrum:
             raise IntegrationDiverged(self.window.output_times[int(np.argmin(finite))])
         return energy
 
-    def march(self, modes: np.ndarray) -> np.ndarray:
-        return np.stack([spectrum.copy() for spectrum in self._marched(modes)])
-
-    def _marched(self, modes: np.ndarray) -> Iterator[np.ndarray]:
-        """The spectrum of ``modes`` at each output in turn, in one buffer
-        marched in place. ``np.take`` keeps it C-ordered, as are the rows
-        that an irfft of it returns and callers reduce."""
+    def march(self, modes: np.ndarray) -> Iterator[np.ndarray]:
+        """The (K, len(modes)) spectrum of ``modes`` at each output in turn,
+        in one buffer marched in place: a caller that keeps an output copies
+        it. ``np.take`` keeps it C-ordered, as are the rows that an irfft of
+        it returns and callers reduce."""
         spectrum = np.take(self.spectrum, modes, axis=1)
         rates = np.take(self.rates, modes, axis=1)
         powers = {}
@@ -446,7 +444,7 @@ def integrate_advection(
     initial = np.asarray(initial, dtype=float)
     spectrum = AdvectionSpectrum(speeds, initial, window, grid, step)
     out, record = _recorder(window, initial.shape, record)
-    for j, marched in enumerate(spectrum._marched(np.arange(grid.point_count // 2 + 1))):
+    for j, marched in enumerate(spectrum.march(np.arange(grid.point_count // 2 + 1))):
         if spectrum.plan[j] == (0.0, 0):
             record(j, 0, initial)
             continue

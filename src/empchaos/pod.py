@@ -8,25 +8,27 @@ window.
 
 The POD only needs T^T T, which neither the order of T's rows nor an
 orthogonal change of their coordinates alters (Parseval), so T is never
-formed. ``truncate_pod`` decomposes the rows of T after the orthonormal real
-DFT along x, the fact the method of snapshots rests on (Sirovich, Q. Appl.
+formed. The POD decomposes the rows of T after the orthonormal real DFT
+along x, the fact the method of snapshots rests on (Sirovich, Q. Appl.
 Math. 45, 1987), without squaring anything. The solutions' energy sits in
 few spatial modes, so the modes that together hold at most ``_TAIL**2`` of
 the energy are dropped first. By Weyl's inequality this moves every singular
 value by at most ``_TAIL * ||T||_F``.
 
-On the wave those rows are the marched spectrum itself, so
-``truncate_spectrum`` takes them from a ``pde_core.AdvectionSpectrum``
-without putting the samples on the grid: each mode's energy is known in
-closed form before any marching, only the modes the tail leaves are marched,
-and the Parseval argument is unchanged. Both paths share the tail rule
-(``_kept_modes``), the row writer (``_write_rows``) and the decomposition
-(``_decompose``).
+One writer (``_fourier_rows``) makes those rows from each mode's energy and
+the kept modes' spectrum, one output time at a time. ``truncate_pod`` takes
+both from one rfft of the trajectories. On the wave the rows are the marched
+spectrum itself, so ``truncate_spectrum`` takes them from a
+``pde_core.AdvectionSpectrum`` without putting the samples on the grid: each
+mode's energy is known in closed form before any marching, and only the
+modes the tail leaves are marched. Both paths share the tail rule
+(``_kept_modes``), the writer and the decomposition (``_decompose``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -42,8 +44,6 @@ __all__ = [
 
 # relative Frobenius norm of the Fourier rows truncate_pod may drop: roundoff
 _TAIL = 1e-13
-# largest piece of the trajectories' spectrum held at once
-_SPECTRUM_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,6 @@ class BasisSet:
         return self.values @ coefficients
 
 
-def _mode_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(paired, weights) of the M//2 + 1 rfft modes of a grid of M points: a
-    paired mode (neither 0 nor, for an even grid, the Nyquist mode) gives a
-    real and an imaginary row block, with weight 2/M; the others one real
-    block, with weight 1/M. sqrt(weight) makes the real DFT orthonormal."""
-    modes = np.arange(m // 2 + 1)
-    paired = (modes > 0) & (2 * modes < m)
-    return paired, np.where(paired, 2.0, 1.0) / m
-
-
 def _kept_modes(energy: np.ndarray) -> np.ndarray:
     """The modes, in increasing order, left once the least energetic ones are
     dropped while their summed ``energy`` stays at most ``_TAIL**2`` of the
@@ -103,69 +93,58 @@ def _kept_modes(energy: np.ndarray) -> np.ndarray:
     return np.sort(by_energy[dropped:])
 
 
-def _write_rows(rows: np.ndarray, spectrum: np.ndarray, modes: np.ndarray,
-                paired: np.ndarray, scale: np.ndarray) -> None:
-    """Write T's rows from ``spectrum`` (output time, node, mode) into ``rows``
-    (node, row, output time): the real parts of ``modes``, then the imaginary
-    parts of those that are ``paired``, each scaled by its ``scale``."""
-    imaginary = modes[paired[modes]]
-    np.multiply(spectrum.real[..., modes].transpose(1, 2, 0), scale[modes, None],
-                out=rows[:, :modes.size])
-    np.multiply(spectrum.imag[..., imaginary].transpose(1, 2, 0), scale[imaginary, None],
-                out=rows[:, modes.size:])
-
-
-def _energetic_rows(trajectories: np.ndarray) -> np.ndarray:
+def _fourier_rows(energy: np.ndarray, march: Callable[[np.ndarray], Iterable[np.ndarray]],
+                  shape: tuple[int, int, int]) -> np.ndarray:
     """Rows of T in orthonormal real-DFT coordinates along x, less a roundoff tail.
 
-    Each mode gives one real row block, and each paired mode an imaginary one
-    too, scaled as ``_mode_weights`` says; each block has one row per output
-    time. The modes are those that ``_kept_modes`` leaves.
+    ``shape`` is T's (n_t, K, M) and ``energy`` the summed squared modulus of
+    each of the M//2 + 1 rfft modes. A paired mode (neither 0 nor, for an
+    even grid, the Nyquist mode) has weight 2/M and gives a real and an
+    imaginary row block; the others have weight 1/M and give a real block.
+    sqrt(weight) makes the real DFT orthonormal. The modes kept are those
+    that ``_kept_modes`` leaves of the weighted energy, and ``march(kept)``
+    yields their (K, kept count) spectrum at each output time in turn; each
+    block has one row per output time.
     """
-    n_t, k, m = trajectories.shape
-    paired, weights = _mode_weights(m)
-    # the spectrum is taken a few output times at a time: in one piece it is a
-    # fresh transient the size of T on every call, which on a fragmented heap
-    # makes the process's peak memory vary from run to run
-    per_chunk = max(1, _SPECTRUM_BYTES // (16 * k * weights.size))
-    chunks = [slice(a, a + per_chunk) for a in range(0, n_t, per_chunk)]
-    energy = np.zeros(weights.size)
-    for chunk in chunks:
-        spectrum = np.fft.rfft(trajectories[chunk])
-        energy += (np.einsum("tkm,tkm->m", spectrum.real, spectrum.real)
-                   + np.einsum("tkm,tkm->m", spectrum.imag, spectrum.imag))
+    n_t, k, m = shape
+    modes = np.arange(m // 2 + 1)
+    paired = (modes > 0) & (2 * modes < m)
+    weights = np.where(paired, 2.0, 1.0) / m
     kept = _kept_modes(energy * weights)
+    imaginary, scale = paired[kept], np.sqrt(weights[kept])
     # written straight into Fortran order, the layout LAPACK reads, so the QR
-    # need not copy them; the last chunk's spectrum is still at hand
-    rows = np.empty((k, kept.size + np.count_nonzero(paired[kept]), n_t))
-    for i, chunk in enumerate(reversed(chunks)):
-        if i:
-            spectrum = np.fft.rfft(trajectories[chunk])
-        _write_rows(rows[..., chunk], spectrum, kept, paired, np.sqrt(weights))
+    # need not copy them
+    rows = np.empty((k, kept.size + np.count_nonzero(imaginary), n_t))
+    for j, spectrum in enumerate(march(kept)):
+        np.multiply(spectrum.real, scale, out=rows[:, :kept.size, j])
+        np.multiply(spectrum.imag[:, imaginary], scale[imaginary], out=rows[:, kept.size:, j])
     return rows.reshape(k, -1).T
 
 
-def _spectrum_rows(spectrum: AdvectionSpectrum) -> np.ndarray:
-    """The rows of ``_energetic_rows`` for the samples that ``spectrum``
-    stands for: the modes are cut by its closed-form energy, and only the
-    kept ones are marched."""
-    n_t = len(spectrum.plan)
-    k = spectrum.spectrum.shape[0]
-    paired, weights = _mode_weights(spectrum.grid.point_count)
-    kept = _kept_modes(spectrum.energy.sum(axis=0) * weights)
-    rows = np.empty((k, kept.size + np.count_nonzero(paired[kept]), n_t))
-    _write_rows(rows, spectrum.march(kept), np.arange(kept.size), paired[kept],
-                np.sqrt(weights[kept]))
-    return rows.reshape(k, -1).T
+def _pod_rows(trajectories: np.ndarray) -> np.ndarray:
+    """``_fourier_rows`` of the (n_t, K, M) ``trajectories``, from one rfft
+    of them; the spectrum is freed on return, before any decomposition."""
+    spectrum = np.fft.rfft(trajectories)
+    energy = (np.einsum("tkm,tkm->m", spectrum.real, spectrum.real)
+              + np.einsum("tkm,tkm->m", spectrum.imag, spectrum.imag))
+    return _fourier_rows(energy, lambda kept: (output[:, kept] for output in spectrum),
+                         trajectories.shape)
 
 
-def _decompose(rows: np.ndarray, threshold: float, rule: QuadratureRule, cap: int | None,
-               least: int, count: int) -> BasisSet:
-    """The basis of T's leading right singular vectors, from ``rows`` of T
-    that share T's T^T T: the ones whose sigma_i / sigma_1 is at least
-    ``threshold``, at least ``least`` of them where that many are computed,
-    at most ``cap``; ``count`` is T's singular value count."""
-    k = rows.shape[1]
+def _decompose(shape: tuple[int, int, int], make_rows: Callable[[], np.ndarray], threshold: float,
+               rule: QuadratureRule, cap: int | None, least: int) -> BasisSet:
+    """The basis of T's leading right singular vectors, for T of (n_t, K, M)
+    ``shape``: those whose sigma_i / sigma_1 is at least ``threshold``, at
+    least ``least`` of them where that many are computed, at most ``cap``.
+    They are those of ``make_rows()``, rows of T that share its T^T T,
+    called only after the checks both entries share: a threshold outside
+    (0, 1), or a K other than the rule's node count, is a ValueError."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+    n_t, k, m = shape
+    if k != len(rule):
+        raise ValueError("trajectory node count must equal quadrature node count")
+    rows = make_rows()
     if rows.shape[0] > k:
         # the right singular vectors and singular values of A = QR are those
         # of R (T. Chan's R-bidiagonalization), so only R, the K x K block
@@ -174,7 +153,7 @@ def _decompose(rows: np.ndarray, threshold: float, rule: QuadratureRule, cap: in
         rows = np.linalg.qr(rows, mode="r")
     # the BLAS thread policy lives in the CLI (cli._one_blas_thread), not here
     _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
-    sigma = np.pad(sigma, (0, count - sigma.size))
+    sigma = np.pad(sigma, (0, min(n_t * m, k) - sigma.size))
     n_keep = max(1, least, int(np.count_nonzero(sigma / sigma[0] >= threshold)))
     if cap is not None:
         n_keep = min(n_keep, max(1, cap))
@@ -204,15 +183,10 @@ def truncate_pod(
     whose K is not the rule's node count, raise ValueError; so does a zero T,
     one with non-finite entries, or one whose squared norm overflows.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
     if trajectories.ndim != 3:
         raise ValueError("trajectories must be (time count, node count, grid size)")
-    n_t, k, m = trajectories.shape
-    if k != len(rule):
-        raise ValueError("trajectory node count must equal quadrature node count")
-    return _decompose(_energetic_rows(trajectories), threshold, rule, cap, least,
-                      min(n_t * m, k))
+    return _decompose(trajectories.shape, lambda: _pod_rows(trajectories), threshold, rule,
+                      cap, least)
 
 
 def truncate_spectrum(spectrum: AdvectionSpectrum, threshold: float, rule: QuadratureRule,
@@ -221,13 +195,9 @@ def truncate_spectrum(spectrum: AdvectionSpectrum, threshold: float, rule: Quadr
     with T's rows taken from the spectrum itself (module docstring), so the
     samples are never put on the grid. A node count other than the rule's,
     or a zero spectrum, is a ValueError."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    k, m = spectrum.spectrum.shape[0], spectrum.grid.point_count
-    if k != len(rule):
-        raise ValueError("trajectory node count must equal quadrature node count")
-    return _decompose(_spectrum_rows(spectrum), threshold, rule, cap, 1,
-                      min(len(spectrum.plan) * m, k))
+    shape = (len(spectrum.plan), spectrum.spectrum.shape[0], spectrum.grid.point_count)
+    return _decompose(shape, lambda: _fourier_rows(spectrum.energy.sum(axis=0), spectrum.march,
+                                                   shape), threshold, rule, cap, 1)
 
 
 def projection_residual(trajectories: np.ndarray, basis: BasisSet) -> float:

@@ -17,6 +17,11 @@ from empchaos.cli import ConfigError, ExperimentConfig
 from empchaos.pde_core import wave_exact_mean_square
 
 
+# what numpy's MemoryError says of an array too large for the host
+ALLOCATION_ERROR = ("Unable to allocate 7.28 TiB for an array with shape "
+                    "(1000000000000,) and data type float64")
+
+
 def _exit_at_once(*args):
     os._exit(1)
 
@@ -506,6 +511,28 @@ class TestRunCommand:
         assert manifest["status"] == "solver-error"
         assert "diverged" in manifest["error"]
 
+    @pytest.mark.parametrize("target,args", [
+        ("empchaos.driver.run_schedule", ["--outputs-per-window", "11"]),
+        ("empchaos.montecarlo._draw_samples", ["--solver", "mc", "--sample-count", "20"]),
+        ("empchaos.random_space.chebyshev_nodes", ["--node-count", "20"]),
+    ], ids=["outputs", "samples", "nodes"])
+    def test_failed_allocation_writes_solver_error_manifest(self, tmp_path, capsys,
+                                                            monkeypatch, target, args):
+        # a raise, not a real huge size: whether one fails before touching
+        # memory depends on the host's overcommit policy
+        def too_large(*args, **kwargs):
+            raise MemoryError(ALLOCATION_ERROR)
+
+        monkeypatch.setattr(target, too_large)
+        out = tmp_path / "run"
+        code = cli.main(["run", *args, "--grid-size", "16", "--t-final", "1",
+                         "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {ALLOCATION_ERROR}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "solver-error"
+        assert manifest["error"] == ALLOCATION_ERROR
+
     @pytest.mark.parametrize("solver,step,message", [
         ("empirical", "1.0", "CFL number 0.509"),
         ("empirical", "1e-320", "step 1e-320 is too small"),
@@ -789,6 +816,17 @@ class TestScalingStudy:
                          "--output-dir", str(tmp_path / "study")])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "study").exists()
+
+    def test_failed_allocation_exits_solver_error(self, tmp_path, capsys, monkeypatch):
+        def too_large(config):
+            raise MemoryError(ALLOCATION_ERROR)
+
+        monkeypatch.setattr("empchaos.driver.run_schedule", too_large)
+        code = cli.main(["scaling-study", "--grid-size", "16", "--horizons", "1", "2", "3",
+                         "--no-gpc", "--output-dir", str(tmp_path / "study")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {ALLOCATION_ERROR}\n"
         assert not (tmp_path / "study").exists()
 
     def test_horizons_past_the_default_t_final_run(self, tmp_path):

@@ -1,8 +1,9 @@
 """Every name that a module under src/, tests/ or scripts/ imports is read
 in it, every name in a package module's ``__all__`` is bound in that module,
 every module-level function, class and constant under src/ is read
-somewhere in src/ or listed in its module's ``__all__``, and the CLI loads
-no scipy."""
+somewhere in src/ or listed in its module's ``__all__``, every public
+method or property of a class under src/ is read as an attribute in src/ or
+scripts/, and the CLI loads no scipy."""
 
 import ast
 import collections
@@ -102,6 +103,61 @@ def test_every_definition_under_src_is_read():
     sources = {".".join(path.relative_to(ROOT / "src").with_suffix("").parts): path.read_text()
                for path in (ROOT / "src").rglob("*.py")}
     assert unread_definitions(sources) == []
+
+
+def unread_members(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of each public method or property of a class in
+    ``sources`` (module name to source) that no source reads as an
+    attribute, and whose name no module lists in ``__all__``. Dataclass
+    fields are not methods, and dunder names are not public."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read, exported = collections.Counter(), set()
+    for tree in trees.values():
+        read.update(_attribute_reads(tree))
+        exported |= _exported(tree)
+    return sorted(
+        f"{module}.{cls.name}.{node.name}" for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        # a member's reads of its own name (recursion) do not count
+        and not node.name.startswith("_") and node.name not in exported
+        and read[node.name] == _attribute_reads(node)[node.name])
+
+
+def _attribute_reads(tree: ast.AST) -> collections.Counter:
+    """How often each name is read in ``tree`` as an attribute."""
+    return collections.Counter(node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)
+                               and not isinstance(node.ctx, ast.Store))
+
+
+def test_checker_finds_an_unread_member():
+    sources = {
+        "a": "__all__ = ['shape']\nclass A:\n    count: int = 0\n"
+             "    def __len__(self): return 0\n    def _private(self): pass\n"
+             "    def used(self): return self.size\n    @property\n    def size(self): pass\n"
+             "    def shape(self): pass\n    def stale(self): pass\n"
+             "    def again(self): return self.again()\n",
+        "b": "from a import A\ndef f(a):\n    a.used()\n    a.stale = 1\n",
+    }
+    assert unread_members(sources) == ["a.A.again", "a.A.stale"]
+
+
+def _overrides(member: str) -> bool:
+    """Whether ``module.Class.name``, a member of a class under src/, is also
+    defined by a base class, which may call it (argparse calls the ``error``
+    of an ArgumentParser subclass)."""
+    module, cls, name = member.rsplit(".", 2)
+    owner = getattr(importlib.import_module(module), cls)
+    return any(name in vars(base) for base in owner.__mro__[1:])
+
+
+def test_every_member_under_src_is_read():
+    sources = {".".join(path.relative_to(ROOT / "src").with_suffix("").parts): path.read_text()
+               for path in (ROOT / "src").rglob("*.py")}
+    sources.update({f"scripts.{path.stem}": path.read_text()
+                    for path in (ROOT / "scripts").glob("*.py")})
+    assert [member for member in unread_members(sources) if not _overrides(member)] == []
 
 
 def test_checker_finds_an_unused_import():

@@ -197,7 +197,7 @@ class TestFourierRows:
         # points, and 6 at 2
         rule = small_rule(9)
         trajectories = np.random.default_rng(points).normal(size=(3, 9, points))
-        rows = pod._energetic_rows(trajectories).shape[0]
+        rows = pod._pod_rows(trajectories).shape[0]
         assert rows == 3 * points
         shapes = []
         svd = np.linalg.svd
@@ -211,15 +211,28 @@ class TestFourierRows:
         monkeypatch.undo()
         assert_matches_direct_svd(trajectories, 1e-4, rule)
 
-    @pytest.mark.parametrize("per_chunk", [1, 2, 5])
-    def test_rows_do_not_depend_on_the_spectrum_chunks(self, wave, monkeypatch, per_chunk):
-        # 11 output times; 5 per chunk leaves a last chunk of one
-        rule = small_rule(6)
-        trajectories = sampled_trajectories(wave, 32, rule)
-        whole = pod._energetic_rows(trajectories)
-        assert whole.shape[0] < 32 * 11  # some modes dropped
-        monkeypatch.setattr(pod, "_SPECTRUM_BYTES", per_chunk * 16 * 6 * 17)
-        np.testing.assert_array_equal(pod._energetic_rows(trajectories), whole)
+    @pytest.mark.parametrize("path", ["samples", "spectrum"])
+    def test_rows_reach_lapack_in_fortran_order(self, monkeypatch, path):
+        # the layout LAPACK reads, so nothing copies them: 96 rows of 9
+        # samples go to the QR, 22 rows of 120 nodes straight to the SVD
+        handed = []
+
+        def spy(lapack):
+            def call(a, *args, **kwargs):
+                handed.append(a)
+                return lapack(a, *args, **kwargs)
+            return call
+        monkeypatch.setattr(np.linalg, "qr", spy(np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+        if path == "samples":
+            truncate_pod(np.random.default_rng(3).normal(size=(3, 9, 32)), 1e-4, small_rule(9))
+        else:
+            rule, grid, u_nodes, window, _ = wave_window("window-0")
+            truncate_spectrum(AdvectionSpectrum(rule.nodes, u_nodes, window, grid,
+                                                default_step(grid)), 1e-4, rule)
+        rows = handed[0]
+        assert rows.shape == ((96, 9) if path == "samples" else (22, 120))
+        assert rows.flags.f_contiguous and not rows.flags.c_contiguous
 
 
 SPECTRUM_CASES = ["window-0", "later-window", "odd-grid", "ragged", "cap-3", "every-mode"]
@@ -249,6 +262,12 @@ def wave_window(case):
     return rule, grid, u_nodes, window, 3 if case == "cap-3" else None
 
 
+def spectrum_rows(spectrum):
+    """The rows that truncate_spectrum decomposes."""
+    shape = (len(spectrum.plan), spectrum.spectrum.shape[0], spectrum.grid.point_count)
+    return pod._fourier_rows(spectrum.energy.sum(axis=0), spectrum.march, shape)
+
+
 class TestTruncateSpectrum:
     """truncate_spectrum against truncate_pod of the sampled ensemble."""
 
@@ -259,8 +278,8 @@ class TestTruncateSpectrum:
         trajectories = solve_ensemble(wave_problem(), rule.nodes, u_nodes, window, grid, step)
         spectrum = AdvectionSpectrum(rule.nodes, u_nodes, window, grid, step)
         # the same kept modes, in the same rows
-        rows = pod._energetic_rows(trajectories)
-        new_rows = pod._spectrum_rows(spectrum)
+        rows = pod._pod_rows(trajectories)
+        new_rows = spectrum_rows(spectrum)
         assert new_rows.shape == rows.shape
         np.testing.assert_allclose(new_rows, rows, rtol=0, atol=1e-13 * np.abs(rows).max())
         expected = truncate_pod(trajectories, 1e-4, rule, cap=cap)
@@ -289,7 +308,7 @@ class TestTruncateSpectrum:
         # one kept mode of 11 output times gives 22 rows, fewer than 120 nodes
         rule, grid, u_nodes, window, _ = wave_window("window-0")
         spectrum = AdvectionSpectrum(rule.nodes, u_nodes, window, grid, default_step(grid))
-        assert pod._spectrum_rows(spectrum).shape == (22, 120)
+        assert spectrum_rows(spectrum).shape == (22, 120)
 
         def no_qr(*args, **kwargs):
             raise AssertionError("QR of rows that it cannot shrink")
