@@ -4,6 +4,14 @@ Exposes every solver behind one command-line interface, writes plot-ready CSV
 and JSON artifacts, times the pipeline stages, runs wall-clock scaling studies
 over a set of final times, and compares statistic time series between runs.
 
+A ``run`` holds one solved window at a time: each window (and each gPC
+output) is reduced to what the artifacts write as soon as it is solved, and
+dropped, so its memory stays bounded however long the horizon. Every file is
+written at the end, so a failed run leaves no partial artifacts; the time
+spent reducing counts under ``export``. When an empirical solve fails, the
+manifest's ``failed_window`` gives the index, ``t_start`` and ``t_end`` of
+the first window not solved, indexed as in ``basis_counts.csv``.
+
 Exit codes: 0 success, 1 invalid configuration, an unreadable or malformed
 config file or series CSV, an unwritable output path, or input the solver
 rejects (such as a step that breaks the CFL bound, or a step so small that a
@@ -37,7 +45,7 @@ import numpy as np
 
 from . import __version__, driver, gpc, montecarlo, pde_core, random_space
 from .basis_evolution import SingularBlock
-from .galerkin import IllConditionedBasis
+from .galerkin import IllConditionedBasis, WindowRecord, seam_series
 from .pde_core import IntegrationDiverged
 
 __all__ = [
@@ -276,28 +284,49 @@ def _read_series(path: str):
     return times, values
 
 
-def _empirical_artifacts(config: ExperimentConfig, archive, out: str) -> list[str]:
-    files = []
-    times, ms = archive.statistic_series(config.x_index, "mean_square")
-    write_series(os.path.join(out, "mean_square.csv"), times, ms)
-    files.append("mean_square.csv")
-    _, mean = archive.statistic_series(config.x_index, "mean")
-    write_series(os.path.join(out, "mean.csv"), times, mean)
-    files.append("mean.csv")
+class _WindowSeries:
+    """The ``driver.run_schedule`` record of a ``run``: keeps of each window
+    only what the artifacts write (its statistics at ``x_index``, bounds,
+    basis count, singular values and reaction point count), so that one
+    window's solution is held at a time. ``seconds`` is the time spent in it."""
 
-    records = archive.records
-    for index, record in enumerate(records):
-        sigma = record.basis.singular_values
+    def __init__(self, x_index: int):
+        self.x_index = x_index
+        self.statistics = {"mean_square": [], "mean": []}
+        self.windows, self.counts, self.sigmas, self.reaction_points = [], [], [], []
+        self.seconds = 0.0
+
+    def __call__(self, record: WindowRecord) -> None:
+        tic = time.perf_counter()
+        for statistic, values in self.statistics.items():
+            values.append(record.statistic(self.x_index, statistic))
+        self.windows.append(record.window)
+        self.counts.append(record.basis.size)
+        self.sigmas.append(record.basis.singular_values)
+        self.reaction_points.append(record.reaction_points)
+        self.seconds += time.perf_counter() - tic
+
+
+def _empirical_artifacts(series: _WindowSeries, out: str) -> list[str]:
+    files = []
+    for statistic, values in series.statistics.items():
+        name = f"{statistic}.csv"
+        write_series(os.path.join(out, name),
+                     *seam_series(zip((w.output_times for w in series.windows), values)))
+        files.append(name)
+
+    for index, sigma in enumerate(series.sigmas):
         if sigma.size:
             name = f"singular_values_window_{index:04d}.csv"
             _write_text(os.path.join(out, name),
                         _csv("index,sigma,sigma_scaled", "%d,%.17g,%.17g",
                              range(sigma.size), sigma, sigma / sigma[0]))
             files.append(name)
+    windows = series.windows
     _write_text(os.path.join(out, "basis_counts.csv"),
                 _csv("window,t_start,t_end,basis_count", "%d,%.17g,%.17g,%d",
-                     range(len(records)), [r.window.start for r in records],
-                     [r.window.end for r in records], [r.basis.size for r in records]))
+                     range(len(windows)), [w.start for w in windows],
+                     [w.end for w in windows], series.counts))
     files.append("basis_counts.csv")
     return files
 
@@ -382,23 +411,34 @@ def _one_blas_thread():
 
 
 def _solve(config: ExperimentConfig, emp_config: driver.EmpiricalConfig,
-           out: str) -> tuple[list[str], dict, dict]:
+           out: str, manifest: dict) -> tuple[list[str], dict]:
     """Run the configured solver on the problem, grid and rule of emp_config
     and write its artifacts.
 
-    Returns (files, timings, extra manifest fields).
+    Returns (files, timings) and adds the solver's own fields to
+    ``manifest``: ``failed_window`` before an empirical solve's error
+    propagates.
     """
     problem, grid = emp_config.problem, emp_config.grid
 
     if config.solver in ("empirical", "empirical-evolve"):
-        archive, timings = driver.run_schedule(emp_config)
+        series = _WindowSeries(config.x_index)
+        try:
+            _, timings = driver.run_schedule(emp_config, series)
+        except _SOLVE_ERRORS:
+            # the first window the record did not receive
+            index = len(series.windows)
+            _, window = driver.window_plan(emp_config)[index]
+            manifest["failed_window"] = {"index": index, "t_start": window.start,
+                                         "t_end": window.end}
+            raise
         stage_seconds = timings.as_dict()
         tic = time.perf_counter()
-        files = _empirical_artifacts(config, archive, out)
-        stage_seconds["export"] = time.perf_counter() - tic
-        extra = ({"reaction_points": [record.reaction_points for record in archive.records]}
-                 if problem.has_reaction else {})
-        return files, stage_seconds, extra
+        files = _empirical_artifacts(series, out)
+        stage_seconds["export"] = series.seconds + time.perf_counter() - tic
+        if problem.has_reaction:
+            manifest["reaction_points"] = series.reaction_points
+        return files, stage_seconds
 
     # the reference solvers report at the empirical solver's output times
     plan = driver.window_plan(emp_config)
@@ -415,21 +455,25 @@ def _solve(config: ExperimentConfig, emp_config: driver.EmpiricalConfig,
         write_series(os.path.join(out, "mean_square.csv"), times, ms)
         write_series(os.path.join(out, "mean.csv"), times, mean)
         seconds = time.perf_counter() - tic
-        return ["mean_square.csv", "mean.csv"], {"evaluation": seconds}, {}
+        return ["mean_square.csv", "mean.csv"], {"evaluation": seconds}
 
     if config.solver == "gpc":
+        # of each output only the coefficients at x_index are kept
+        column = np.empty((len(times), config.order))
+
+        def keep(j: int, first: int, rows: np.ndarray) -> None:
+            column[j] = rows[:, config.x_index]
+
         tic = time.perf_counter()
-        coefficients = gpc.solve_gpc(problem, config.order, grid, window, config.step,
-                                     emp_config.rule)
+        gpc.solve_gpc(problem, config.order, grid, window, config.step, emp_config.rule,
+                      keep)
         propagation = time.perf_counter() - tic
         tic = time.perf_counter()
         write_series(os.path.join(out, "mean_square.csv"), times,
-                      gpc.mean_square_series(coefficients, config.x_index))
-        write_series(os.path.join(out, "mean.csv"), times,
-                      gpc.mean_series(coefficients, config.x_index))
+                     gpc.mean_square_series(column))
+        write_series(os.path.join(out, "mean.csv"), times, gpc.mean_series(column))
         export = time.perf_counter() - tic
-        return (["mean_square.csv", "mean.csv"],
-                {"propagation": propagation, "export": export}, {})
+        return ["mean_square.csv", "mean.csv"], {"propagation": propagation, "export": export}
 
     # mc
     mc_config = montecarlo.McConfig(
@@ -445,10 +489,10 @@ def _solve(config: ExperimentConfig, emp_config: driver.EmpiricalConfig,
     t, mean, mean_err = result.series(config.x_index, "mean")
     write_series(os.path.join(out, "mean.csv"), t, mean, mean_err)
     export = time.perf_counter() - tic
-    counts = {"sample_count": result.sample_count,
-              "diverged_count": result.diverged_count, "workers": result.workers}
-    return (["mean_square.csv", "mean.csv"], {"sampling": seconds, "export": export},
-            {"monte_carlo": counts})
+    manifest["monte_carlo"] = {"sample_count": result.sample_count,
+                               "diverged_count": result.diverged_count,
+                               "workers": result.workers}
+    return ["mean_square.csv", "mean.csv"], {"sampling": seconds, "export": export}
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -477,10 +521,10 @@ def run_experiment(config: ExperimentConfig) -> int:
             # and setting and restoring the threads are set-up, not solve
             tic = time.perf_counter()
             try:
-                files, stage_seconds, extra = _solve(config, emp_config, out)
+                files, stage_seconds = _solve(config, emp_config, out, manifest)
             finally:
                 manifest["total_seconds"] = time.perf_counter() - tic
-        manifest.update(files=files, stage_seconds=stage_seconds, **extra)
+        manifest.update(files=files, stage_seconds=stage_seconds)
     except _SOLVE_ERRORS as exc:
         code = _report_failure(exc)
         manifest.update(status="invalid-input" if code == EXIT_VALIDATION
@@ -547,6 +591,17 @@ _TIMING_ROUNDS = 3
 _TIMING_SECONDS = 0.3
 
 
+class _LargestBasis:
+    """The ``driver.run_schedule`` record of a scaling study: keeps only the
+    largest basis count."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self, record: WindowRecord) -> None:
+        self.count = max(self.count, record.basis.size)
+
+
 def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
                       order_factor: float = 1.1) -> dict:
     """Wall-clock scaling of the empirical solver (and optionally gPC) vs t_final.
@@ -585,11 +640,12 @@ def run_scaling_study(config: ExperimentConfig, horizons, with_gpc: bool = True,
             for i, row in enumerate(rows):
                 emp_config = dataclasses.replace(base, t_final=row["t_final"],
                                                  schedule=driver.always_resample)
+                largest = _LargestBasis()
                 tic = time.perf_counter()
-                archive, _ = driver.run_schedule(emp_config)
+                driver.run_schedule(emp_config, largest)
                 seconds = time.perf_counter() - tic
                 row["empirical_seconds"] = min(row["empirical_seconds"], seconds)
-                row["max_basis_count"] = int(max(archive.basis_counts()))
+                row["max_basis_count"] = largest.count
                 spent[i] += seconds
             rounds += 1
         for row in rows if with_gpc else ():

@@ -15,7 +15,10 @@ of its own samples; hold windows keep the last ones. The state
 carried from window to window is the plain (basis count, grid size)
 coefficient array of the last output. Sampling and propagation get the one
 base step (``step`` or ``pde_core.default_step``); the solvers fit it to
-each window's output times. Per-stage wall-clock timings are recorded.
+each window's output times. Each solved window goes to a ``record``
+callable as soon as it is propagated, so a caller can reduce it and drop it;
+by default it is appended to the returned archive. Per-stage wall-clock
+timings are recorded.
 """
 
 from __future__ import annotations
@@ -198,7 +201,9 @@ def _pivot_columns(a: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTimings]:
+def run_schedule(config: EmpiricalConfig,
+                 record: Callable[[WindowRecord], None] | None = None,
+                 ) -> tuple[ExpansionArchive, StageTimings]:
     """Empirical chaos with a per-window schedule.
 
     Each planned window first chooses its basis: ``resample`` samples
@@ -213,9 +218,16 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
     the points at which propagation evaluates the reaction, from the
     reaction of its own samples (``_reaction_interpolation``); hold windows
     keep them.
+
+    Each solved window's ``WindowRecord`` goes to ``record`` as soon as it
+    is propagated, in window order; by default it is appended to the
+    returned archive, which a given ``record`` leaves empty. A window that
+    raises reaches no ``record``.
     """
     timings = StageTimings()
     archive = ExpansionArchive()
+    if record is None:
+        record = archive.append
     grid, rule, problem = config.grid, config.rule, config.problem
     step = config.step if config.step is not None else default_step(grid)
 
@@ -271,7 +283,7 @@ def run_schedule(config: EmpiricalConfig) -> tuple[ExpansionArchive, StageTiming
         states = propagate_window(problem, coefficients, basis, window, grid, step, matrices,
                                   interpolation)
         timings.add("propagation", time.perf_counter() - tic)
-        archive.append(WindowRecord(
+        record(WindowRecord(
             window=window, basis=basis, coefficients=states, matrices=matrices,
             reaction_points=0 if interpolation is None else len(interpolation[0])))
         coefficients = states[-1]

@@ -4,13 +4,13 @@ Assembles mass/advection matrices by quadrature, projects solution values at
 the quadrature nodes onto a basis (the one projection used at every window
 seam, window 0 included), propagates the implicit coefficient ODE with RK4
 (in Fourier space for the wave problem), and evaluates solution statistics
-from the archive of solved windows. The reaction term is projected either
-through every quadrature node or, given interpolation points and their lift
-(DEIM), from its values at those points only, so that a stage costs in
-proportion to the point count rather than the node count. Coefficients are
-plain arrays: one window's state is c[i, x] = u_hat^i(x), shape (basis
-count, grid size), and a propagated window is the (output time, basis count,
-grid size) array.
+window by window, joined across the seams by one rule. The reaction term is
+projected either through every quadrature node or, given interpolation
+points and their lift (DEIM), from its values at those points only, so that
+a stage costs in proportion to the point count rather than the node count.
+Coefficients are plain arrays: one window's state is c[i, x] = u_hat^i(x),
+shape (basis count, grid size), and a propagated window is the (output time,
+basis count, grid size) array.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "GalerkinMatrices",
     "WindowRecord",
     "ExpansionArchive",
+    "seam_series",
     "assemble_matrices",
     "project_node_values",
     "propagate_window",
@@ -198,6 +199,36 @@ class WindowRecord:
     matrices: GalerkinMatrices
     reaction_points: int = 0  # nodes the reaction is evaluated at per RK4 stage
 
+    def statistic(self, x_index: int, statistic: str = "mean_square") -> np.ndarray:
+        """A statistic at one grid point at each of the window's output times.
+
+        mean_square is E[u(x, t, .)^2] = u_hat^T * mass * u_hat; mean is
+        E[u(x, t, .)] via the basis expectations E[Psi_i].
+        """
+        if statistic not in ("mean_square", "mean"):
+            raise ValueError(f"unknown statistic {statistic!r}")
+        mass = self.matrices.mass
+        g = self.basis.values.T @ self.basis.rule.weights
+        return np.array([float(u_hat @ mass @ u_hat) if statistic == "mean_square"
+                         else float(g @ u_hat)
+                         for u_hat in self.coefficients[:, :, x_index]])
+
+
+def seam_series(windows) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of a statistic over consecutive windows, from each
+    window's (output times, values) in order: a window's output times at or
+    before the last kept time are skipped, so a seam keeps the earlier
+    window's value."""
+    times: list[float] = []
+    values: list[float] = []
+    for window_times, window_values in windows:
+        for t, value in zip(window_times, window_values):
+            if times and t <= times[-1] + 1e-12:
+                continue
+            values.append(float(value))
+            times.append(float(t))
+    return np.array(times), np.array(values)
+
 
 @dataclass
 class ExpansionArchive:
@@ -213,28 +244,10 @@ class ExpansionArchive:
         self.records.append(record)
 
     def statistic_series(self, x_index: int, statistic: str = "mean_square"):
-        """Time series (times, values) of a statistic at one grid point.
-
-        mean_square is E[u(x, t, .)^2] = u_hat^T * mass * u_hat; mean is
-        E[u(x, t, .)] via the basis expectations E[Psi_i]. One walk over the
-        windows: a window's output times at or before the last kept time are
-        skipped, so a seam keeps the earlier window's value.
-        """
-        if statistic not in ("mean_square", "mean"):
-            raise ValueError(f"unknown statistic {statistic!r}")
-        times: list[float] = []
-        values: list[float] = []
-        for record in self.records:
-            mass = record.matrices.mass
-            g = record.basis.values.T @ record.basis.rule.weights
-            for t, coeffs in zip(record.window.output_times, record.coefficients):
-                if times and t <= times[-1] + 1e-12:
-                    continue
-                u_hat = coeffs[:, x_index]
-                values.append(float(u_hat @ mass @ u_hat) if statistic == "mean_square"
-                              else float(g @ u_hat))
-                times.append(float(t))
-        return np.array(times), np.array(values)
+        """Time series (times, values) of a statistic at one grid point
+        (``WindowRecord.statistic``), joined across the seams by ``seam_series``."""
+        return seam_series((record.window.output_times, record.statistic(x_index, statistic))
+                           for record in self.records)
 
     def basis_counts(self) -> np.ndarray:
         return np.array([record.basis.size for record in self.records])

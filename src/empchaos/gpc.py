@@ -4,8 +4,9 @@ This path assumes exact orthonormality (mass = identity) and serves as the
 benchmark the empirical expansion is compared against. It is the Legendre
 case of the Galerkin core: it marches ``galerkin``'s one rhs, with the exact
 coupling matrix and the quadrature projector. A solve returns the
-(output time, order, grid size) array of Legendre coefficients, from which
-the statistics are read directly.
+(output time, order, grid size) array of Legendre coefficients, or hands
+each output's coefficients to a ``record``; the statistics at one grid point
+are read directly from the (output time, order) coefficients there.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .galerkin import _galerkin_rhs
 from .pde_core import (
     PdeProblem,
+    Record,
     SpatialGrid,
     TimeWindow,
     _advection_plan,
@@ -75,7 +77,8 @@ def solve_gpc(
     window: TimeWindow,
     step: float | None = None,
     rule: QuadratureRule | None = None,
-) -> np.ndarray:
+    record: Record | None = None,
+) -> np.ndarray | None:
     """RK4 on the truncated gPC system with a deterministic initial condition.
 
     Each rhs call is one matmul of the pre-scaled operator [A / (2h) | L^T W]
@@ -86,7 +89,8 @@ def solve_gpc(
     (the Gauss-Legendre nodes of ``order`` points), so a step whose CFL
     number at the largest of them exceeds 1/2 is a ValueError, raised
     before any work. Returns the (n_output_times, order, M) coefficients at
-    ``window.output_times``.
+    ``window.output_times``, or hands each output's (order, M) coefficients
+    to ``record`` as ``integrate_ode`` does.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -106,16 +110,16 @@ def solve_gpc(
     rhs = _galerkin_rhs(problem, coupling, grid, table, (rule.weights[:, None] * table).T)
     initial = np.zeros((order, grid.point_count))
     initial[0] = problem.initial_condition(grid.points)
-    return integrate_ode(rhs, initial, window, step)
+    return integrate_ode(rhs, initial, window, step, record)
 
 
-def mean_square_series(coefficients: np.ndarray, x_index: int = 0) -> np.ndarray:
+def mean_square_series(column: np.ndarray) -> np.ndarray:
     """E[u^2] over time at one grid point: sum of squared coefficients of the
-    (n_times, order, M) ``solve_gpc`` result."""
-    return np.sum(coefficients[:, :, x_index] ** 2, axis=1)
+    (n_times, order) ``solve_gpc`` coefficients there."""
+    return np.sum(column ** 2, axis=1)
 
 
-def mean_series(coefficients: np.ndarray, x_index: int = 0) -> np.ndarray:
+def mean_series(column: np.ndarray) -> np.ndarray:
     """E[u] over time at one grid point: the constant-mode coefficient."""
-    return coefficients[:, 0, x_index]
+    return column[:, 0]
 

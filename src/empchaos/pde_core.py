@@ -19,10 +19,10 @@ stability polynomial: ``AdvectionSpectrum`` is that one Fourier march, of
 the modes asked for, with each mode's energy in closed form when read, and
 ``integrate_advection`` is its march in every mode put back on the grid.
 Each kernel plans once and checks its step before it marches. The two
-ensemble kernels hand the states at each output time to a ``record``
-callable, in row order, so a caller can reduce them as they come instead of
-holding every output; an ensemble with a ``record`` is marched on one
-thread, in blocks of a fixed size.
+ensemble kernels and ``integrate_ode`` hand the states at each output time
+to a ``record`` callable, in row order, so a caller can reduce them as they
+come instead of holding every output; an ensemble with a ``record`` is
+marched on one thread, in blocks of a fixed size.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ def integrate_ode(
     initial: np.ndarray,
     window: TimeWindow,
     step: float,
-) -> np.ndarray:
+    record: Record | None = None,
+) -> np.ndarray | None:
     """Classical fixed-step RK4 over the window for u' = rhs(u).
 
     ``rhs(u, out)`` writes the right-hand side at ``u`` into ``out``. The
@@ -282,13 +283,15 @@ def integrate_ode(
     initial state itself. A plan of more than ``STEP_ENTRY_LIMIT`` steps
     times state entries is a ValueError, raised before the march. Raises
     ``IntegrationDiverged`` at the first step with a non-finite entry, at
-    the output time before it plus k dt. Returns the states at the output
-    times, an (n_output_times,) + initial.shape array.
+    the output time before it plus k dt. Each output goes to
+    ``record(j, 0, state)``, the marched state itself, read only during the
+    call; by default the states are written into the returned
+    (n_output_times,) + initial.shape array.
     """
     state = np.array(initial, dtype=float, order="C")
     plan = _plan_steps(window, step)
     _check_entries(plan, state.size)
-    out, record = _recorder(window, state.shape, None)
+    out, record = _recorder(window, state.shape, record)
     _march(rhs, state, np.empty((5,) + state.shape), window, plan, True, record)
     return out
 

@@ -39,7 +39,6 @@ __all__ = [
     "BasisSet",
     "truncate_pod",
     "truncate_spectrum",
-    "projection_residual",
 ]
 
 # relative Frobenius norm of the Fourier rows truncate_pod may drop: roundoff
@@ -199,16 +198,3 @@ def truncate_spectrum(spectrum: AdvectionSpectrum, threshold: float, rule: Quadr
     return _decompose(shape, lambda: _fourier_rows(spectrum.energy.sum(axis=0), spectrum.march,
                                                    shape), threshold, rule, cap, 1)
 
-
-def projection_residual(trajectories: np.ndarray, basis: BasisSet) -> float:
-    """Frobenius norm of T - T*P with P the Euclidean projector onto the basis.
-
-    ``trajectories`` is the (n_t, K, M) array that T is read from (see the
-    module docstring). For a basis produced by ``truncate_pod`` this equals
-    sqrt(sum of squared discarded singular values).
-    """
-    if basis.values.shape[0] != trajectories.shape[1]:
-        raise ValueError("basis node count does not match the trajectories' node count")
-    t = trajectories.transpose(0, 2, 1)
-    projected = (t @ basis.values) @ basis.values.T
-    return float(np.linalg.norm(t - projected))

@@ -19,7 +19,6 @@ __all__ = [
     "chebyshev_nodes",
     "trapezoid_rule",
     "gauss_legendre_rule",
-    "expectation",
     "legendre_table",
 ]
 
@@ -114,16 +113,6 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
     nodes, weights = np.polynomial.legendre.leggauss(count)
     # the weights sum to the interval's width
     return QuadratureRule(nodes=nodes, weights=weights / _WIDTH)
-
-
-def expectation(values: np.ndarray, rule: QuadratureRule) -> float | np.ndarray:
-    """Quadrature expectation of node values (leading axis runs over nodes)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != len(rule):
-        raise ValueError(
-            f"values length {values.shape[0]} does not match rule with {len(rule)} nodes"
-        )
-    return np.tensordot(rule.weights, values, axes=(0, 0))
 
 
 def legendre_table(n_terms: int, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ import os
 import platform
 import resource
 import time
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -349,6 +351,48 @@ class TestRunCommand:
         assert manifest["status"] == "solver-error"
         assert manifest["error"] == str(error)
 
+    def test_failed_window_names_the_first_unsolved_window(self, tmp_path, monkeypatch):
+        from empchaos.pde_core import IntegrationDiverged
+
+        calls = []
+        propagate = cli.driver.propagate_window
+
+        def diverge_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise IntegrationDiverged(2.5)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(cli.driver, "propagate_window", diverge_third)
+        out = tmp_path / "run"
+        code = cli.main(["run", "--grid-size", "32", "--node-count", "20", "--t-final", "4",
+                         "--output-dir", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "solver-error"
+        assert manifest["failed_window"] == {"index": 2, "t_start": 2.0, "t_end": 3.0}
+        # every file is written at the end, so a failed run leaves none
+        assert os.listdir(out) == ["manifest.json"]
+
+    @pytest.mark.parametrize("fields", [
+        dict(solver="empirical"),
+        dict(solver="empirical-evolve", schedule="alternating"),
+        dict(problem="advection-reaction", node_count=60, window_length=1.0),
+    ], ids=["wave", "alternating", "reaction"])
+    def test_statistic_csvs_equal_the_archive_series(self, tmp_path, fields):
+        # the run's series, reduced window by window, and the archive's
+        # share one seam rule
+        run = ExperimentConfig(grid_size=32, t_final=3.0, x_index=3,
+                               output_dir=str(tmp_path), **fields)
+        assert cli.run_experiment(run) == 0
+        assert "failed_window" not in json.loads((tmp_path / "manifest.json").read_text())
+        archive, _ = cli.driver.run_schedule(cli._empirical_config(run))
+        for statistic in ("mean_square", "mean"):
+            _, (times, values) = read_csv(tmp_path / f"{statistic}.csv")
+            expected_times, expected = archive.statistic_series(3, statistic)
+            np.testing.assert_array_equal(times, expected_times)
+            np.testing.assert_array_equal(values, expected)
+
     def test_stage_timings_sum_close_to_total(self, tmp_path):
         out = tmp_path / "emp"
         code = cli.main(["run", "--solver", "empirical", "--grid-size", "64",
@@ -499,7 +543,7 @@ class TestRunCommand:
     def test_solver_divergence_exit_code(self, tmp_path, monkeypatch):
         from empchaos.pde_core import IntegrationDiverged
 
-        def exploding_solve(config, emp_config, out):
+        def exploding_solve(config, emp_config, out, manifest):
             raise IntegrationDiverged(0.75)
 
         monkeypatch.setattr(cli, "_solve", exploding_solve)
@@ -619,6 +663,31 @@ class TestRunCommand:
         assert empirical[-2:] == pytest.approx([10.333, 10.37])
         for solver in ("gpc", "mc"):
             np.testing.assert_array_equal(times(solver), empirical)
+
+
+def traced_peak(tmp_path, **fields) -> int:
+    """Peak bytes that tracemalloc sees during one ``run_experiment``."""
+    tracemalloc.start()
+    try:
+        assert cli.run_experiment(ExperimentConfig(output_dir=str(tmp_path), **fields)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_empirical_peak_does_not_grow_with_the_horizon(self, tmp_path):
+        # a run holds one window at a time; holding all of them would add
+        # about 50 kB a window here, 9 MB from t = 20 to t = 200
+        short = traced_peak(tmp_path / "short", grid_size=64, t_final=20.0)
+        long = traced_peak(tmp_path / "long", grid_size=64, t_final=200.0)
+        assert long - short < 2**20
+
+    def test_gpc_peak_is_below_one_coefficient_array(self, tmp_path):
+        # the 501 outputs of (order, M) = (10, 64) coefficients are 2.6 MB;
+        # a run keeps only each output's column at x_index
+        peak = traced_peak(tmp_path, solver="gpc", grid_size=64, order=10, t_final=50.0)
+        assert peak < 501 * 10 * 64 * 8
 
 
 class TestBlasThreads:
@@ -787,6 +856,11 @@ class TestCompareCommand:
         assert report["points"] == 11
 
 
+def window_of_basis_size(size: int):
+    """Stand-in for a solved window of ``run_schedule``, as a scaling study reads it."""
+    return types.SimpleNamespace(basis=types.SimpleNamespace(size=size))
+
+
 class TestScalingStudy:
     def test_rejects_too_few_horizons(self):
         config = ExperimentConfig(grid_size=32, node_count=20)
@@ -819,7 +893,7 @@ class TestScalingStudy:
         assert not (tmp_path / "study").exists()
 
     def test_failed_allocation_exits_solver_error(self, tmp_path, capsys, monkeypatch):
-        def too_large(config):
+        def too_large(config, record):
             raise MemoryError(ALLOCATION_ERROR)
 
         monkeypatch.setattr("empchaos.driver.run_schedule", too_large)
@@ -841,7 +915,7 @@ class TestScalingStudy:
     def test_solver_failure_exits_diverged(self, tmp_path, capsys, monkeypatch):
         from empchaos.pde_core import IntegrationDiverged
 
-        def exploding_schedule(config):
+        def exploding_schedule(config, record):
             raise IntegrationDiverged(0.75)
 
         monkeypatch.setattr(cli.driver, "run_schedule", exploding_schedule)
@@ -858,14 +932,12 @@ class TestScalingStudy:
         clock = [0.0]
         solved = []
 
-        class Archive:
-            def basis_counts(self):
-                return np.array([4, 5])
-
-        def timed_schedule(config):
+        def timed_schedule(config, record):
             solved.append(config.t_final)
             clock[0] += next(durations)
-            return Archive(), None
+            for size in (4, 5):
+                record(window_of_basis_size(size))
+            return None, None
         monkeypatch.setattr(cli.driver, "run_schedule", timed_schedule)
         monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
         report = cli.run_scaling_study(ExperimentConfig(grid_size=32, node_count=20),
@@ -880,14 +952,11 @@ class TestScalingStudy:
         clock = [0.0]
         solved = []
 
-        class Archive:
-            def basis_counts(self):
-                return np.array([4])
-
-        def timed_schedule(config):
+        def timed_schedule(config, record):
             solved.append(config.t_final)
             clock[0] += config.t_final / 64
-            return Archive(), None
+            record(window_of_basis_size(4))
+            return None, None
         monkeypatch.setattr(cli, "_TIMING_SECONDS", 0.25)
         monkeypatch.setattr(cli.driver, "run_schedule", timed_schedule)
         monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])

@@ -315,3 +315,52 @@ class TestReactionPoints:
         records = run_schedule(config)[0].records
         first, held, last = independent_point_counts(config, records)
         assert [record.reaction_points for record in records] == [first, first, last]
+
+
+def assert_same_records(streamed, stored):
+    """Two runs' window records hold the same windows and arrays, bit for bit."""
+    assert len(streamed) == len(stored)
+    for a, b in zip(streamed, stored):
+        assert a.window == b.window
+        assert a.reaction_points == b.reaction_points
+        for array in (lambda r: r.coefficients, lambda r: r.basis.values,
+                      lambda r: r.basis.singular_values, lambda r: r.matrices.mass,
+                      lambda r: r.matrices.advection):
+            np.testing.assert_array_equal(array(a), array(b))
+
+
+class TestRecord:
+    @pytest.mark.parametrize("problem,schedule,nodes", [
+        ("wave", always_resample, 120),
+        ("wave", alternating_schedule, 120),
+        ("advection_reaction", always_resample, 60),
+    ], ids=["wave", "alternating", "reaction"])
+    def test_hands_over_the_archive_records_in_window_order(self, request, problem,
+                                                            schedule, nodes):
+        config = EmpiricalConfig(problem=request.getfixturevalue(problem),
+                                 grid=SpatialGrid(32), rule=trapezoid_rule(chebyshev_nodes(nodes)),
+                                 window_length=1.0, t_final=3.0, outputs_per_window=6,
+                                 schedule=schedule)
+        stored, _ = run_schedule(config)
+        received = []
+        streamed, _ = run_schedule(config, received.append)
+        assert streamed.records == []
+        assert [r.window for r in received] == [w for _, w in window_plan(config)]
+        assert_same_records(received, stored.records)
+
+    def test_a_failed_window_reaches_no_record(self, wave, rule_120, monkeypatch):
+        calls = []
+        propagate = driver.propagate_window
+
+        def diverge_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise IntegrationDiverged(2.5)
+            return propagate(*args, **kwargs)
+        monkeypatch.setattr(driver, "propagate_window", diverge_third)
+        received = []
+        config = EmpiricalConfig(problem=wave, grid=SpatialGrid(32), rule=rule_120,
+                                 t_final=4.0)
+        with pytest.raises(IntegrationDiverged):
+            run_schedule(config, received.append)
+        assert [r.window for r in received] == [w for _, w in window_plan(config)[:2]]

@@ -15,7 +15,7 @@ from empchaos.pde_core import (
     spatial_derivative,
     wave_exact_mean_square,
 )
-from empchaos.random_space import expectation, gauss_legendre_rule, legendre_table
+from empchaos.random_space import gauss_legendre_rule, legendre_table
 
 
 def project_exact_wave(order, t, rule=None):
@@ -25,7 +25,7 @@ def project_exact_wave(order, t, rule=None):
         rule = default_rule()
     table = legendre_table(order, rule.nodes)
     exact = np.cos(rule.nodes * t)
-    coeffs = np.array([expectation(exact * table[:, i], rule) for i in range(order)])
+    coeffs = np.array([rule.weights @ (exact * table[:, i]) for i in range(order)])
     return float(np.sum(coeffs**2))
 
 
@@ -79,7 +79,7 @@ class TestSolveGpc:
         grid = SpatialGrid(128)
         window = TimeWindow.with_uniform_outputs(0.0, 5.0, 26)
         coefficients = solve_gpc(wave, 12, grid, window, 1e-2)
-        mse = mean_square_series(coefficients)
+        mse = mean_square_series(coefficients[:, :, 0])
         exact = wave_exact_mean_square(np.asarray(window.output_times))
         np.testing.assert_allclose(mse, exact, atol=1e-3)
 
@@ -124,8 +124,21 @@ class TestSolveGpc:
         grid = SpatialGrid(32)
         window = TimeWindow.with_uniform_outputs(0.0, 1.0, 3)
         coefficients = solve_gpc(wave, 4, grid, window, 1e-2)
-        np.testing.assert_array_equal(mean_series(coefficients, 5),
+        np.testing.assert_array_equal(mean_series(coefficients[:, :, 5]),
                                       coefficients[:, 0, 5])
+
+    @pytest.mark.parametrize("problem", ["wave", "advection_reaction"])
+    def test_record_receives_every_output_in_order(self, problem, request):
+        problem = request.getfixturevalue(problem)
+        grid = SpatialGrid(32)
+        window = TimeWindow.with_uniform_outputs(0.0, 1.0, 5)
+        coefficients = solve_gpc(problem, 4, grid, window, 1e-2)
+        received = []
+        assert solve_gpc(problem, 4, grid, window, 1e-2,
+                         record=lambda j, first, rows: received.append((j, first, rows.copy()))
+                         ) is None
+        assert [(j, first) for j, first, _ in received] == [(j, 0) for j in range(5)]
+        np.testing.assert_array_equal([rows for _, _, rows in received], coefficients)
 
 
 def textbook_gpc(problem, order, grid, window, step, rule):

@@ -15,12 +15,26 @@ from empchaos.pde_core import (
     solve_ensemble,
     wave_problem,
 )
-from empchaos.pod import projection_residual, truncate_pod, truncate_spectrum
+from empchaos.pod import truncate_pod, truncate_spectrum
 from empchaos.random_space import chebyshev_nodes, trapezoid_rule
 
 
 def small_rule(count):
     return trapezoid_rule(chebyshev_nodes(count))
+
+
+def projection_residual(trajectories, basis):
+    """Frobenius norm of T - T*P with P the Euclidean projector onto the basis.
+
+    ``trajectories`` is the (n_t, K, M) array that T is read from (see the
+    ``pod`` module docstring). For a basis produced by ``truncate_pod`` this
+    equals sqrt(sum of squared discarded singular values).
+    """
+    if basis.values.shape[0] != trajectories.shape[1]:
+        raise ValueError("basis node count does not match the trajectories' node count")
+    t = trajectories.transpose(0, 2, 1)
+    projected = (t @ basis.values) @ basis.values.T
+    return float(np.linalg.norm(t - projected))
 
 
 def sampled_trajectories(problem, grid_size, rule):

@@ -6,11 +6,20 @@ from hypothesis import strategies as st
 from empchaos.random_space import (
     QuadratureRule,
     chebyshev_nodes,
-    expectation,
     gauss_legendre_rule,
     legendre_table,
     trapezoid_rule,
 )
+
+
+def expectation(values, rule):
+    """Quadrature expectation of node values (leading axis runs over nodes)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[0] != len(rule):
+        raise ValueError(
+            f"values length {values.shape[0]} does not match rule with {len(rule)} nodes"
+        )
+    return np.tensordot(rule.weights, values, axes=(0, 0))
 
 
 class TestChebyshevNodes:
